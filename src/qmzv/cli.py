@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
+import warnings
 from fractions import Fraction
 
 from .constructor import bz_word, classical_expansion_word, expansion_word
@@ -260,13 +259,11 @@ def _cmd_suite(args) -> int:
                 text = fh.read()
         except OSError as exc:
             raise ParameterError(f"cannot read config {args.config!r}: {exc}") from None
-        cfg = config_from_json(text)
-    env = os.environ.get("QMZV_PARALLELISM")
-    if env is not None:
-        try:
-            cfg = replace(cfg, parallelism=int(env))
-        except ValueError:
-            raise ParameterError(f"QMZV_PARALLELISM must be an integer, got {env!r}") from None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = config_from_json(text)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     reports, summary = run_suite(cfg, filter_identity=args.filter)
     print(emit_report(reports, "json"))
     print(f"suite: {summary['cases']} cases, {summary['failed']} failed", file=sys.stderr)

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
-from .words import AlgebraElement, theta
+from .words import AlgebraElement, check_pairs, theta
 from .combinat import (
     alpha,
     beta,
@@ -43,19 +43,9 @@ def clear_cache():
     _cache.clear()
 
 
-def _check_flat(c) -> tuple:
-    c = tuple(c)
-    if len(c) % 2:
-        raise ParameterError(f"flattened pair index must have even length, got {c}")
-    for e in c:
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"entries must be ints >= 1, got {c}")
-    return c
-
-
 def reverse_pairs(c) -> tuple:
     """(l1,k1,...,lr,kr) -> (kr,lr,...,k1,l1): full reversal."""
-    return tuple(reversed(_check_flat(c)))
+    return tuple(reversed(check_pairs(c)))
 
 
 def _yx(k: int) -> AlgebraElement:
@@ -83,7 +73,7 @@ def expansion_word(eps: int, c) -> AlgebraElement:
     boundary-augmented one."""
     if eps not in (0, 1):
         raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
-    c = _check_flat(c)
+    c = check_pairs(c)
     key = (eps, c)
     cached = _cache.get(key)
     if cached is not None:
@@ -134,7 +124,7 @@ def dagger_word(c) -> AlgebraElement:
 
 def bz_word(c) -> AlgebraElement:
     """Signed theta twist of the eps=1 expansion; all entries end up >= 2."""
-    c = _check_flat(c)
+    c = check_pairs(c)
     return _D_PREFACTOR_SIGN ** sum(c) * theta(expansion_word(1, c))
 
 
@@ -143,7 +133,7 @@ def classical_expansion_word(eps: int, c) -> AlgebraElement:
     deletion term, tilings A with domino-free renumbered B) survive."""
     if eps not in (0, 1):
         raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
-    c = _check_flat(c)
+    c = check_pairs(c)
     key = ("classical", eps, c)
     cached = _cache.get(key)
     if cached is not None:

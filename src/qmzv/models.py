@@ -10,11 +10,23 @@ product of one factor per position.  The factor kinds that occur:
     bar   1 / (1-q^(N-n))
     geo   q^(N-n) / (1-q^(N-n))
 
-All evaluation is by a suffix recursion memoized on (position, lower bound),
-so shared tails are computed once.  The same walkers run over three value
-rings: truncated integer/rational q-series, exact rationals at a fixed
-rational q (|q| not 0 or 1), and the classical limits where pow becomes
-1/n^k and bar becomes 1/(N-n).
+The infinite dagger sums use the run factor below, and zeta_poly a factor
+with a numerator polynomial Q(q^n):
+
+    run   C(n-low+l-1, l-1) q^n / (1-q^n)^k
+    poly  Q(q^n) / (1-q^n)^k
+
+Every model is a tuple of slots (the factor choices at each position), a
+range [low, top) for the variables, and a value ring; one walker, a suffix
+recursion memoized on (position, lower bound), evaluates them all, so shared
+tails are computed once.  A finite window has low = M + 1 and top = N; an
+infinite sum is the same walker with low = 1 and top = order + 1.  In the
+infinite dagger model each run of l - 1 bar entries before an entry k is one
+run slot: the bar variables carry no factor there, so their weakly tied
+values between the previous variable and n are only counted, by the binomial
+weight.  The value rings are truncated integer/rational q-series, exact
+rationals at a fixed rational q (|q| not 0 or 1), and the classical limits
+where pow becomes 1/n^k and bar becomes 1/(N-n).
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -24,7 +36,7 @@ enumerated range contributes nothing below the truncation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .errors import AdmissibilityError, MembershipError, ParameterError
@@ -37,6 +49,7 @@ from .words import (
     AlgebraElement,
     BarIndex,
     bar_from_pairs,
+    check_index,
     check_pairs,
     diamond_from_pairs,
     index_from_word,
@@ -86,6 +99,13 @@ class _SeriesValues:
     def geo_factor(self, m):
         return pow_kernel(m, 1, self.order)
 
+    def poly_factor(self, n, k, cs):
+        num = self.zero
+        for t, c in enumerate(cs):
+            if c and n * t <= self.order:
+                num = num + QSeries.monomial(self.order, n * t, c)
+        return num * inv_bracket_pow(n, k, self.order)
+
 
 class _PointValues:
     def __init__(self, q: Fraction):
@@ -128,29 +148,35 @@ class _ClassicalValues:
         return Fraction(1, m)
 
 
-# -- the finite walker ---------------------------------------------------------
+# -- the walker -------------------------------------------------------------------
 #
-# A slot per position holds the alternative (kind, k, gap) factor choices at
+# A slot per position holds the alternative (kind, arg, gap) factor choices at
 # that position; gap 1 forces the next variable strictly above, gap 0 allows
 # a tie.  Positions where an entry equal to 1 may flip to the boundary factor
 # simply carry two choices, which replaces the outer sum over subsets.
 
 
-def _factor(vals, kind, k, n, N):
+def _factor(vals, kind, arg, n, low, top):
     if kind == "pow":
-        return vals.pow_factor(n, k)
+        return vals.pow_factor(n, arg)
     if kind == "bz":
-        return vals.bz_factor(n, k)
+        return vals.bz_factor(n, arg)
     if kind == "sz":
-        return vals.sz_factor(n, k)
+        return vals.sz_factor(n, arg)
     if kind == "bar":
-        return vals.bar_factor(N - n)
+        return vals.bar_factor(top - n)
     if kind == "geo":
-        return vals.geo_factor(N - n)
+        return vals.geo_factor(top - n)
+    if kind == "run":
+        l, k = arg
+        return comb(n - low + l - 1, l - 1) * vals.pow_factor(n, k)
+    if kind == "poly":
+        return vals.poly_factor(n, *arg)
     raise ParameterError(f"unknown factor kind {kind!r}")
 
 
-def _finite_sum(slots, M, N, vals):
+def _walk(slots, low, top, vals):
+    """Sum over low <= n_1 (<= or <) n_2 ... < top of the slot factors."""
     r = len(slots)
     memo = {}
 
@@ -162,18 +188,25 @@ def _finite_sum(slots, M, N, vals):
         if cached is not None:
             return cached
         total = vals.zero
-        for n in range(low, N):
-            for kind, k, gap in slots[j]:
-                total = total + _factor(vals, kind, k, n, N) * suffix(j + 1, n + gap)
+        for n in range(low, top):
+            for kind, arg, gap in slots[j]:
+                f = _factor(vals, kind, arg, n, low, top)
+                total = total + f * suffix(j + 1, n + gap)
         memo[key] = total
         return total
 
-    return suffix(0, M + 1)
+    return suffix(0, low)
 
 
 def _dagger_slots(entries):
     return tuple(
         (("bar", 0, 0),) if e is BAR1 else (("pow", e, 1),) for e in entries
+    )
+
+
+def _run_slots(pairs):
+    return tuple(
+        (("run", (pairs[j], pairs[j + 1]), 1),) for j in range(0, len(pairs), 2)
     )
 
 
@@ -203,6 +236,22 @@ def _reflected_slots(k):
     return tuple(slots)
 
 
+_SLOTS = {
+    "dagger": _dagger_slots,
+    "dagger-runs": _run_slots,
+    "bz": partial(_strict_slots, "bz"),
+    "sz": partial(_strict_slots, "sz"),
+    "diamond-dagger": partial(_diamond_slots, "dagger"),
+    "diamond-bz": partial(_diamond_slots, "bz"),
+    "reflected": _reflected_slots,
+}
+
+
+@lru_cache(maxsize=None)
+def _model_sum(family, entries, low, top, ring, param):
+    return _walk(_SLOTS[family](entries), low, top, ring(param))
+
+
 # -- index validation ----------------------------------------------------------
 
 
@@ -210,16 +259,8 @@ def _as_bar_index(k) -> BarIndex:
     return k if isinstance(k, BarIndex) else BarIndex(tuple(k))
 
 
-def _check_plain(k) -> tuple:
-    k = tuple(k)
-    for e in k:
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"index entries must be ints >= 1, got {k}")
-    return k
-
-
 def _check_admissible_plain(k) -> tuple:
-    k = _check_plain(k)
+    k = check_index(k)
     if k and k[-1] == 1:
         raise AdmissibilityError(f"index {k} must not end with entry 1")
     return k
@@ -238,32 +279,20 @@ def _check_sz_index(k) -> tuple:
 # -- finite models ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _finite_series(family, entries, M, N, order):
-    builders = {
-        "dagger": _dagger_slots,
-        "bz": lambda k: _strict_slots("bz", k),
-        "diamond-dagger": lambda k: _diamond_slots("dagger", k),
-        "diamond-bz": lambda k: _diamond_slots("bz", k),
-        "reflected": _reflected_slots,
-    }
-    return _finite_sum(builders[family](entries), M, N, _SeriesValues(order))
-
-
 def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
     """Double-truncated weak sum over an admissible bar index."""
     k = _as_bar_index(k)
     if not k.is_admissible():
         raise AdmissibilityError(f"{k!r} ends with a bar entry")
     check_window(M, N)
-    return _finite_series("dagger", k.entries, M, N, _check_order(order))
+    return _model_sum("dagger", k.entries, M + 1, N, _SeriesValues, _check_order(order))
 
 
 def zeta_bz_finite(k, *, N: int, order: int) -> QSeries:
     """Truncated strict sum with factors q^(n(k-1))/(1-q^n)^k; any index."""
-    k = _check_plain(k)
+    k = check_index(k)
     check_window(0, N)
-    return _finite_series("bz", k, 0, N, _check_order(order))
+    return _model_sum("bz", k, 1, N, _SeriesValues, _check_order(order))
 
 
 def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -275,14 +304,16 @@ def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> Q
     check_window(M, N)
     if variant == "bz" and M != 0:
         raise ParameterError("the bz variant is only defined with M = 0")
-    return _finite_series(f"diamond-{variant}", k, M, N, _check_order(order))
+    return _model_sum(
+        f"diamond-{variant}", k, M + 1, N, _SeriesValues, _check_order(order)
+    )
 
 
 def zeta_reflected_blocks(k, *, N: int, order: int) -> QSeries:
     """Weak-block sum whose first block variables carry q^(N-n)/(1-q^(N-n))."""
-    k = _check_plain(k)
+    k = check_index(k)
     check_window(0, N)
-    return _finite_series("reflected", k, 0, N, _check_order(order))
+    return _model_sum("reflected", k, 1, N, _SeriesValues, _check_order(order))
 
 
 def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -304,54 +335,6 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
 # -- infinite models --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dagger_infinite(pairs, order):
-    # run-length form: strict skeleton 0 = n_0 < n_1 < ... < n_r with the
-    # weakly tied bar variables of each run counted by a binomial weight
-    vals = _SeriesValues(order)
-    r = len(pairs) // 2
-    memo = {}
-
-    def suffix(j, nprev):
-        if j == r:
-            return vals.one
-        key = (j, nprev)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        l, k = pairs[2 * j], pairs[2 * j + 1]
-        total = vals.zero
-        for n in range(nprev + 1, order + 1):
-            mult = comb(n - nprev + l - 2, l - 1)
-            total = total + mult * (vals.pow_factor(n, k) * suffix(j + 1, n))
-        memo[key] = total
-        return total
-
-    return suffix(0, 0)
-
-
-@lru_cache(maxsize=None)
-def _strict_infinite(kind, k, order):
-    vals = _SeriesValues(order)
-    r = len(k)
-    memo = {}
-
-    def suffix(j, low):
-        if j == r:
-            return vals.one
-        key = (j, low)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = vals.zero
-        for n in range(low, order + 1):
-            total = total + _factor(vals, kind, k[j], n, None) * suffix(j + 1, n + 1)
-        memo[key] = total
-        return total
-
-    return suffix(0, 1)
-
-
 def zeta_infinite(model: str, k, *, order: int) -> QSeries:
     """Truncated value of the untruncated sum; the index must be admissible."""
     _check_order(order)
@@ -359,15 +342,17 @@ def zeta_infinite(model: str, k, *, order: int) -> QSeries:
         k = _as_bar_index(k)
         if not k.is_admissible():
             raise AdmissibilityError(f"{k!r} ends with a bar entry")
-        return _dagger_infinite(pairs_from_bar(k), order)
-    if model == "bz":
-        k = _check_plain(k)
+        family, k = "dagger-runs", pairs_from_bar(k)
+    elif model == "bz":
+        k = check_index(k)
         if k and k[-1] < 2:
             raise AdmissibilityError(f"index {k} must end with an entry >= 2")
-        return _strict_infinite("bz", k, order)
-    if model == "sz":
-        return _strict_infinite("sz", _check_sz_index(k), order)
-    raise ParameterError(f"unknown infinite model {model!r}")
+        family = "bz"
+    elif model == "sz":
+        family, k = "sz", _check_sz_index(k)
+    else:
+        raise ParameterError(f"unknown infinite model {model!r}")
+    return _model_sum(family, k, 1, order + 1, _SeriesValues, order)
 
 
 def zeta_poly(k, polys, *, order: int) -> QSeries:
@@ -377,7 +362,7 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
     the sum converges.  Polynomials are coefficient sequences, low degree
     first, with int or Fraction entries.
     """
-    k = _check_plain(k)
+    k = check_index(k)
     _check_order(order)
     if len(polys) != len(k):
         raise ParameterError(f"need {len(k)} polynomials, got {len(polys)}")
@@ -394,34 +379,8 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
         coeffs.append(cs)
     if k and (not coeffs[-1] or coeffs[-1][0] != 0):
         raise ParameterError("the last polynomial must have zero constant term")
-
-    vals = _SeriesValues(order)
-
-    def poly_at(cs, n):
-        out = vals.zero
-        for t, c in enumerate(cs):
-            if c and n * t <= order:
-                out = out + QSeries.monomial(order, n * t, c)
-        return out
-
-    r = len(k)
-    memo = {}
-
-    def suffix(j, low):
-        if j == r:
-            return vals.one
-        key = (j, low)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = vals.zero
-        for n in range(low, order + 1):
-            factor = poly_at(coeffs[j], n) * inv_bracket_pow(n, k[j], order)
-            total = total + factor * suffix(j + 1, n + 1)
-        memo[key] = total
-        return total
-
-    return suffix(0, 1)
+    slots = tuple((("poly", (kj, cs), 1),) for kj, cs in zip(k, coeffs))
+    return _walk(slots, 1, order + 1, _SeriesValues(order))
 
 
 # -- classical limits -------------------------------------------------------------
@@ -430,9 +389,9 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
 @lru_cache(maxsize=None)
 def classical_zeta(k, N: int) -> Fraction:
     """Strict truncated harmonic sum of 1/(n_1^(k_1) ... n_r^(k_r))."""
-    k = _check_plain(k)
+    k = check_index(k)
     check_window(0, N)
-    return _finite_sum(_strict_slots("pow", k), 0, N, _ClassicalValues())
+    return _walk(_strict_slots("pow", k), 1, N, _ClassicalValues())
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +400,7 @@ def classical_zeta_blocks(c, N: int) -> Fraction:
     c = check_pairs(c)
     check_window(0, N)
     entries = bar_from_pairs(c).entries
-    return _finite_sum(_dagger_slots(entries), 0, N, _ClassicalValues())
+    return _walk(_dagger_slots(entries), 1, N, _ClassicalValues())
 
 
 @lru_cache(maxsize=None)
@@ -449,7 +408,7 @@ def classical_zeta_diamond(k, N: int) -> Fraction:
     """Classical boundary-augmented sum; ones may flip to 1/(N-n) with a tie."""
     k = _check_admissible_plain(k)
     check_window(0, N)
-    return _finite_sum(_diamond_slots("dagger", k), 0, N, _ClassicalValues())
+    return _walk(_diamond_slots("dagger", k), 1, N, _ClassicalValues())
 
 
 # -- linear extension over words ---------------------------------------------------
@@ -512,17 +471,6 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
 _POINT_FAMILIES = ("dagger", "bz", "diamond-dagger", "diamond-bz")
 
 
-@lru_cache(maxsize=None)
-def _finite_point(family, entries, M, N, q):
-    slots = {
-        "dagger": _dagger_slots,
-        "bz": lambda k: _strict_slots("bz", k),
-        "diamond-dagger": lambda k: _diamond_slots("dagger", k),
-        "diamond-bz": lambda k: _diamond_slots("bz", k),
-    }[family](entries)
-    return _finite_sum(slots, M, N, _PointValues(q))
-
-
 def eval_at_rational_q(model: str, k, q, *, N: int, M: int = 0) -> Fraction:
     """Exact value of a finite model at a rational q with |q| not 0 or 1."""
     if model not in _POINT_FAMILIES:
@@ -534,14 +482,14 @@ def eval_at_rational_q(model: str, k, q, *, N: int, M: int = 0) -> Fraction:
     if model == "dagger":
         entries = _as_bar_index(k).entries
     elif model == "bz":
-        entries = _check_plain(k)
+        entries = check_index(k)
         if M != 0:
             raise ParameterError("the bz model is only defined with M = 0")
     else:
         entries = _check_admissible_plain(k)
         if model == "diamond-bz" and M != 0:
             raise ParameterError("the diamond-bz model is only defined with M = 0")
-    return _finite_point(model, entries, M, N, q)
+    return _model_sum(model, entries, M + 1, N, _PointValues, q)
 
 
 def z_map_at_q(model: str, u, q, *, N: int, M: int = 0) -> Fraction:

@@ -17,7 +17,14 @@ from .errors import ParameterError
 from .models import zeta_infinite
 from .report import Report, compare_series
 from .series import QSeries
-from .words import BarIndex, bar_from_pairs, pairs_from_bar, pairs_from_sz, sz_from_pairs
+from .words import (
+    BarIndex,
+    bar_from_pairs,
+    interleave_pairs,
+    pairs_from_bar,
+    pairs_from_sz,
+    sz_from_pairs,
+)
 
 SZ_FROM_DAGGER = "SZ_from_dagger"
 DAGGER_FROM_SZ = "dagger_from_SZ"
@@ -60,10 +67,6 @@ def _ranges(m):
     return product(*(range(1, a + 1) for a in m))
 
 
-def _interleave(lp, kp) -> tuple:
-    return tuple(x for pair in zip(lp, kp) for x in pair)
-
-
 def expand(direction: str, with_bars: bool, l, k) -> list:
     """Symbolic expansion of one model's value in the other model's values.
 
@@ -85,13 +88,11 @@ def expand(direction: str, with_bars: bool, l, k) -> list:
             out.append((c, target))
         return out
     l = _check_positive("l", l)
-    if len(l) != len(k):
-        raise ParameterError(f"l and k must have equal length, got {l} and {k}")
     for lp in _ranges(l):
         cl = coeff(kind, l, lp)
         for kp in _ranges(k):
             c = cl * coeff(kind, k, kp)
-            pairs = _interleave(lp, kp)
+            pairs = interleave_pairs(lp, kp)
             if direction == SZ_FROM_DAGGER:
                 target = bar_from_pairs(pairs)
             else:
@@ -127,7 +128,7 @@ def verify_transform(which: int, l, k, order: int) -> Report:
     }
     if which == 1:
         l = _check_positive("l", l)
-        lhs = zeta_infinite("sz", sz_from_pairs(_interleave(l, k)), order=order)
+        lhs = zeta_infinite("sz", sz_from_pairs(interleave_pairs(l, k)), order=order)
         rhs = _combine("dagger", expand(SZ_FROM_DAGGER, True, l, k), order)
     elif which == 2:
         if l is not None:
@@ -136,7 +137,7 @@ def verify_transform(which: int, l, k, order: int) -> Report:
         rhs = _combine("dagger", expand(SZ_FROM_DAGGER, False, None, k), order)
     elif which == 3:
         l = _check_positive("l", l)
-        lhs = zeta_infinite("dagger", bar_from_pairs(_interleave(l, k)), order=order)
+        lhs = zeta_infinite("dagger", bar_from_pairs(interleave_pairs(l, k)), order=order)
         rhs = _combine("sz", expand(DAGGER_FROM_SZ, True, l, k), order)
     else:
         if l is not None:

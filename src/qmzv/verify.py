@@ -3,16 +3,15 @@
 Each verifier compares two independently computed sides and returns a Report;
 run_suite enumerates all instances inside a SuiteConfig's bounds.  Failures
 are data, not exceptions, and carry a coefficient-level witness.  The case
-list is generated in a fixed order and reports are merged in that order, so
-identical configs produce byte-identical JSON no matter how the work is
-scheduled.
+list is generated in a fixed order and run serially in that order, so
+identical configs produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .constructor import (
@@ -42,6 +41,7 @@ from .words import (
     bar_from_pairs,
     check_pairs,
     diamond_from_pairs,
+    interleave_pairs,
     word_from_index,
 )
 
@@ -131,24 +131,17 @@ def verify_main_infinite(side: str, c, order: int) -> Report:
     return compare_series("main-infinite", params, lhs, rhs)
 
 
-def _interleave(l, k) -> tuple:
-    l, k = tuple(l), tuple(k)
-    if len(l) != len(k):
-        raise ParameterError(f"l and k must have equal length, got {l} and {k}")
-    return tuple(x for pair in zip(l, k) for x in pair)
-
-
 def verify_remarks(kind: str, l, k, N: int, order: int) -> Report:
     """Reversal dualities of the finite models and the weak-block reflection."""
     kind = kind.replace("_", "-")
     if kind == "dual-flat":
-        c = check_pairs(_interleave(l, k))
+        c = interleave_pairs(l, k)
         params = {"kind": kind, "c": c, "N": N, "order": order}
         lhs = zeta_dagger_finite(bar_from_pairs(c), N=N, order=order)
         rhs = zeta_dagger_finite(bar_from_pairs(reverse_pairs(c)), N=N, order=order)
         return compare_series("dual-flat", params, lhs, rhs)
     if kind == "dual-diamond":
-        c = check_pairs(_interleave(l, k))
+        c = interleave_pairs(l, k)
         params = {"kind": kind, "c": c, "N": N, "order": order}
         lhs = zeta_diamond_finite("bz", diamond_from_pairs(c), N=N, order=order)
         rhs = zeta_diamond_finite(
@@ -251,32 +244,32 @@ class SuiteConfig:
     maxdeg: int = 2
     max_r: int = 2
     rational_q_samples: tuple = _DEFAULT_Q_SAMPLES
-    parallelism: int = 1
 
     def __post_init__(self):
         for name in ("max_weight", "max_N", "order", "maxdeg", "max_r"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ParameterError(f"{name} must be an int >= 0, got {v!r}")
         if self.max_N < 1:
             raise ParameterError(f"max_N must be >= 1, got {self.max_N}")
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
-            raise ParameterError(f"parallelism must be an int >= 1, got {self.parallelism!r}")
-        samples = tuple(check_q_sample(Fraction(str(q))) for q in self.rational_q_samples)
+        samples = self.rational_q_samples
+        if not isinstance(samples, (list, tuple)):
+            raise ParameterError(f"rational_q_samples must be a list, got {samples!r}")
+        try:
+            samples = tuple(check_q_sample(Fraction(str(q))) for q in samples)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"bad rational in rational_q_samples {samples!r}") from None
         object.__setattr__(self, "rational_q_samples", samples)
 
 
 def config_from_mapping(data: dict) -> SuiteConfig:
-    allowed = {
-        "max_weight",
-        "max_N",
-        "order",
-        "maxdeg",
-        "max_r",
-        "rational_q_samples",
-        "parallelism",
-    }
-    unknown = set(data) - allowed
+    """A SuiteConfig from its fields.  The retired key 'parallelism' is
+    accepted so old configs keep loading; it is ignored with a warning."""
+    data = dict(data)
+    if "parallelism" in data:
+        del data["parallelism"]
+        warnings.warn("config key 'parallelism' is ignored: the suite runs serially")
+    unknown = set(data) - {f.name for f in fields(SuiteConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     return SuiteConfig(**data)
@@ -408,12 +401,7 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
     cases = _enumerate_cases(cfg)
     if filter_identity is not None:
         cases = [(name, thunk) for name, thunk in cases if name == filter_identity]
-    if cfg.parallelism > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = [pool.submit(thunk) for _, thunk in cases]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [thunk() for _, thunk in cases]
+    reports = [thunk() for _, thunk in cases]
 
     by_identity: dict[str, dict] = {}
     for r in reports:

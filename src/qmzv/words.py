@@ -313,6 +313,14 @@ def check_pairs(c: Sequence[int]) -> tuple:
     return c
 
 
+def interleave_pairs(l: Sequence[int], k: Sequence[int]) -> tuple:
+    """(l_1, ..., l_r), (k_1, ..., k_r) -> (l_1, k_1, ..., l_r, k_r), checked."""
+    l, k = tuple(l), tuple(k)
+    if len(l) != len(k):
+        raise ParameterError(f"l and k must have equal length, got {l} and {k}")
+    return check_pairs(x for pair in zip(l, k) for x in pair)
+
+
 def pair_weight(c: Sequence[int]) -> int:
     """Weight sum(k_j + l_j - 1) of a flattened pair sequence."""
     c = check_pairs(c)

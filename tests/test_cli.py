@@ -108,21 +108,21 @@ def test_missing_order_is_domain_error(capsys):
     assert code == 1 and "--order" in err
 
 
-def test_suite_small_config(capsys, tmp_path, monkeypatch):
+def test_suite_small_config(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_weight": 2, "max_N": 2, "order": 6, "max_r": 1}))
     code, out, err = run(capsys, "suite", "--config", str(cfg))
     assert code == 0
     doc = json.loads(out)
     assert len(doc) > 0 and all(r["status"] == "pass" for r in doc)
-    assert "failed" in err
+    assert "failed" in err and "warning:" not in err
 
-    monkeypatch.setenv("QMZV_PARALLELISM", "3")
-    code, out2, _ = run(capsys, "suite", "--config", str(cfg))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"max_weight": 2, "max_N": 2, "order": 6, "max_r": 1,
+                               "parallelism": 3}))
+    code, out2, err = run(capsys, "suite", "--config", str(old))
     assert code == 0 and out2 == out
-
-    monkeypatch.setenv("QMZV_PARALLELISM", "zebra")
-    assert run(capsys, "suite", "--config", str(cfg))[0] == 1
+    assert sum(line.startswith("warning:") for line in err.splitlines()) == 1
 
 
 def test_suite_filter(capsys, tmp_path):
@@ -136,8 +136,11 @@ def test_suite_filter(capsys, tmp_path):
 def test_suite_bad_config(capsys, tmp_path):
     assert run(capsys, "suite", "--config", str(tmp_path / "missing.json"))[0] == 1
     bad = tmp_path / "bad.json"
-    bad.write_text('{"max_weigth": 2}')
-    assert run(capsys, "suite", "--config", str(bad))[0] == 1
+    for text in ('{"max_weigth": 2}', '{"rational_q_samples": ["abc"]}',
+                 '{"rational_q_samples": 5}', '{"max_weight": true}'):
+        bad.write_text(text)
+        code, _, err = run(capsys, "suite", "--config", str(bad))
+        assert code == 1 and err.startswith("error:"), text
 
 
 def test_emit_report_contract():

@@ -7,7 +7,7 @@ test.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -124,6 +124,47 @@ def brute_classical_diamond(k, N):
     return total
 
 
+def brute_lattice(factors, ties, low, top, one):
+    """Sum over low <= n_1 <= ... <= n_r < top of prod factors[i](n_i), where
+    n_i = n_(i+1) is allowed only when ties[i]; literal enumeration, no memo."""
+    total = one - one
+    for point in combinations_with_replacement(range(low, top), len(factors)):
+        if any(a == b and not tie for a, b, tie in zip(point, point[1:], ties)):
+            continue
+        value = one
+        for f, n in zip(factors, point):
+            value = value * f(n)
+        total = total + value
+    return total
+
+
+def q_kernel(a, n, k, order):
+    """q^a / (1-q^n)^k, truncated."""
+    return QSeries.monomial(order, a) * inv_bracket_pow(n, k, order)
+
+
+def brute_diamond(variant, k, M, N, order):
+    """Sum over the sets A of 1-positions that take the boundary factor with a
+    weak tie; every other position keeps its main factor and a strict step."""
+    def main(e):
+        if variant == "dagger":
+            return lambda n: q_kernel(n, n, e, order)
+        return lambda n: q_kernel(n * (e - 1), n, e, order)
+
+    def aux(n):
+        return q_kernel(0 if variant == "dagger" else N - n, N - n, 1, order)
+
+    one = QSeries.one(order)
+    ones = [i for i, e in enumerate(k) if e == 1]
+    total = one - one
+    for bits in product((False, True), repeat=len(ones)):
+        A = {i for i, b in zip(ones, bits) if b}
+        factors = [aux if i in A else main(e) for i, e in enumerate(k)]
+        ties = [i in A for i in range(len(k))]
+        total = total + brute_lattice(factors, ties, M + 1, N, one)
+    return total
+
+
 # -- finite models ----------------------------------------------------------------
 
 
@@ -152,6 +193,42 @@ def test_dagger_finite_matches_brute_force():
             continue
         got = models.zeta_dagger_finite(BarIndex(entries), M=M, N=N, order=12)
         assert got == brute_dagger_finite(entries, M, N, 12), (entries, M, N)
+
+
+def test_bz_finite_matches_brute_force():
+    order = 12
+    for k in ((1,), (2,), (1, 1), (1, 2), (2, 1), (3, 1, 2)):
+        for N in (2, 3, 5):
+            factors = [lambda n, e=e: q_kernel(n * (e - 1), n, e, order) for e in k]
+            want = brute_lattice(factors, [False] * len(k), 1, N, QSeries.one(order))
+            assert models.zeta_bz_finite(k, N=N, order=order) == want, (k, N)
+
+
+def test_diamond_finite_matches_brute_force():
+    order = 10
+    for k in ((2,), (1, 2), (1, 1, 2), (1, 3), (2, 1, 2), (1, 2, 1, 2)):
+        for N in (2, 3, 5):
+            want = brute_diamond("bz", k, 0, N, order)
+            assert models.zeta_diamond_finite("bz", k, N=N, order=order) == want, (k, N)
+            for M in range(0, min(N, 3)):
+                want = brute_diamond("dagger", k, M, N, order)
+                got = models.zeta_diamond_finite("dagger", k, N=N, M=M, order=order)
+                assert got == want, (k, M, N)
+
+
+def test_reflected_blocks_matches_brute_force():
+    # block j is k_j weakly tied variables: the first carries q^(N-n)/(1-q^(N-n)),
+    # the others 1/(1-q^n); consecutive blocks are strictly separated
+    order = 12
+    for k in ((1,), (2,), (3,), (1, 2), (2, 1), (2, 2), (1, 1, 2)):
+        for N in (2, 3, 5):
+            factors, ties = [], []
+            for kj in k:
+                factors.append(lambda n: q_kernel(N - n, N - n, 1, order))
+                factors.extend([lambda n: q_kernel(0, n, 1, order)] * (kj - 1))
+                ties.extend([True] * (kj - 1) + [False])
+            want = brute_lattice(factors, ties, 1, N, QSeries.one(order))
+            assert models.zeta_reflected_blocks(k, N=N, order=order) == want, (k, N)
 
 
 def test_dagger_finite_rejects_bad_input():
@@ -252,6 +329,30 @@ def test_infinite_dagger_weak_tie_brute_force():
             want = want + pow_kernel(n2, 2, order)
     got = models.zeta_infinite("dagger", BarIndex((BAR1, 2)), order=order)
     assert got == want
+
+
+def test_infinite_dagger_two_runs_brute_force():
+    # bar variables carry the factor 1 and tie weakly to the next variable;
+    # enumerating them point by point checks the binomial run weight
+    order = 10
+    one = QSeries.one(order)
+    for c in ((2, 1, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)):
+        entries = bar_from_pairs(c).entries
+        factors = [
+            (lambda n: one) if e is BAR1 else (lambda n, e=e: q_kernel(n, n, e, order))
+            for e in entries
+        ]
+        ties = [e is BAR1 for e in entries]
+        want = brute_lattice(factors, ties, 1, order + 1, one)
+        assert models.zeta_infinite("dagger", BarIndex(entries), order=order) == want, c
+
+
+def test_infinite_bz_depth_two_brute_force():
+    order = 14
+    for k in ((1, 2), (2, 2), (3, 2), (2, 3), (1, 3)):
+        factors = [lambda n, e=e: q_kernel(n * (e - 1), n, e, order) for e in k]
+        want = brute_lattice(factors, [False, False], 1, order + 1, QSeries.one(order))
+        assert models.zeta_infinite("bz", k, order=order) == want, k
 
 
 def test_sz_zero_blocks_binomial_oracle():
@@ -387,6 +488,31 @@ def test_eval_at_rational_q_matches_series():
         for n2 in range(n1, N):
             want += Fraction(1, 1 - q ** (N - n1)) * (q**n2 / (1 - q**n2) ** 2)
     assert val == want
+
+
+def test_eval_at_rational_q_matches_brute_force():
+    def bracket_at(q, m):
+        return 1 - q**m
+
+    for q in (Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
+        for N in (2, 3, 4):
+            for entries in ((1,), (BAR1, 2), (2, BAR1, 1), (BAR1, BAR1, 1)):
+                factors = [
+                    (lambda n: 1 / bracket_at(q, N - n)) if e is BAR1
+                    else (lambda n, e=e: q**n / bracket_at(q, n) ** e)
+                    for e in entries
+                ]
+                ties = [e is BAR1 for e in entries]
+                for M in range(0, N - 1):
+                    want = brute_lattice(factors, ties, M + 1, N, Fraction(1))
+                    got = models.eval_at_rational_q("dagger", entries, q, N=N, M=M)
+                    assert got == want, (q, N, M, entries)
+            for k in ((1,), (3,), (1, 2), (2, 1, 1)):
+                factors = [
+                    lambda n, e=e: q ** (n * (e - 1)) / bracket_at(q, n) ** e for e in k
+                ]
+                want = brute_lattice(factors, [False] * len(k), 1, N, Fraction(1))
+                assert models.eval_at_rational_q("bz", k, q, N=N) == want, (q, N, k)
 
 
 def test_verify_bridge():

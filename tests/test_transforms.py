@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qmzv import transforms
 from qmzv.errors import ParameterError
 from qmzv.transforms import (
     DAGGER_FROM_SZ,
@@ -109,6 +110,17 @@ def test_verify_transform_validation():
         verify_transform(2, (1,), (1,), 10)
     with pytest.raises(ParameterError):
         verify_transform(1, None, (1,), 10)
+
+
+def test_verify_transform_length_mismatch_evaluates_nothing(monkeypatch):
+    def evaluate(*args, **kwargs):
+        raise AssertionError("a truncated index was evaluated")
+
+    monkeypatch.setattr(transforms, "zeta_infinite", evaluate)
+    for which in (1, 3):
+        for l, k in (((1, 2), (1,)), ((2,), (1, 3))):
+            with pytest.raises(ParameterError):
+                verify_transform(which, l, k, 10)
 
 
 def test_roundtrip_is_identity():

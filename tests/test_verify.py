@@ -84,18 +84,26 @@ def test_independence_check():
 
 def test_config_validation():
     cfg = SuiteConfig()
-    assert cfg.max_weight == 5 and cfg.parallelism == 1
+    assert cfg.max_weight == 5
     assert cfg.rational_q_samples == (
         Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-2), Fraction(5, 7),
     )
     with pytest.raises(ParameterError):
         SuiteConfig(max_N=0)
     with pytest.raises(ParameterError):
-        SuiteConfig(parallelism=0)
-    with pytest.raises(ParameterError):
         SuiteConfig(rational_q_samples=("1",))
     with pytest.raises(ParameterError):
         SuiteConfig(rational_q_samples=("0",))
+    for bad in (("abc",), ("1/0",), 5, "2", None):
+        with pytest.raises(ParameterError):
+            SuiteConfig(rational_q_samples=bad)
+    for name in ("max_weight", "max_N", "order", "maxdeg", "max_r"):
+        with pytest.raises(ParameterError):
+            SuiteConfig(**{name: True})
+    with pytest.raises(ParameterError):
+        config_from_json('{"rational_q_samples": ["abc"]}')
+    with pytest.raises(ParameterError):
+        config_from_json('{"max_weight": true}')
 
 
 def test_config_from_json():
@@ -124,12 +132,12 @@ def test_small_suite_all_pass():
     }
 
 
-def test_suite_deterministic_across_scheduling():
-    sequential, _ = run_suite(SMALL)
-    threaded, _ = run_suite(
-        SuiteConfig(max_weight=3, max_N=3, order=10, maxdeg=2, max_r=1, parallelism=4)
-    )
-    assert reports_to_json(sequential) == reports_to_json(threaded)
+def test_retired_parallelism_key_is_ignored():
+    fields = {"max_weight": 3, "max_N": 3, "order": 10, "maxdeg": 2, "max_r": 1}
+    with pytest.warns(UserWarning, match="parallelism"):
+        cfg = config_from_mapping({**fields, "parallelism": 4})
+    assert cfg == SMALL
+    assert reports_to_json(run_suite(cfg)[0]) == reports_to_json(run_suite(SMALL)[0])
 
 
 def test_suite_filter():

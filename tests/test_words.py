@@ -20,6 +20,7 @@ from qmzv.words import (
     format_word,
     index_from_word,
     index_weight,
+    interleave_pairs,
     pair_weight,
     pairs_from_bar,
     theta,
@@ -154,6 +155,12 @@ def test_pair_codec_examples():
     assert bar_from_pairs((2, 2)).entries == (BAR1, 2)
     with pytest.raises(AdmissibilityError):
         pairs_from_bar(BarIndex((2, BAR1)))
+    assert interleave_pairs((3, 1), (1, 2)) == (3, 1, 1, 2)
+    assert interleave_pairs((), ()) == ()
+    with pytest.raises(ParameterError):
+        interleave_pairs((1, 2), (1,))
+    with pytest.raises(ParameterError):
+        interleave_pairs((0,), (1,))
 
 
 def test_pair_codec_round_trip():
