@@ -33,6 +33,7 @@ from .report import format_report, reports_to_json
 from .series import format_qseries, series_to_json
 from .transforms import DIRECTIONS, expand, verify_transform
 from .verify import (
+    IDENTITIES,
     SuiteConfig,
     config_from_json,
     independence_check,
@@ -123,9 +124,16 @@ _EVAL_MODELS = (
 )
 
 
+_WINDOW_MODELS = ("dagger", "diamond-dagger", "xi")
+
+
 def _cmd_eval(args) -> int:
     k = parse_index(args.index)
     model = args.model
+    if args.M and (args.N is None or model not in _WINDOW_MODELS):
+        raise ParameterError(
+            f"--M needs --N and one of the models {_WINDOW_MODELS}; got {model}"
+        )
     if args.q is not None:
         _require(args, f"point evaluation of {model}", "N")
         value = eval_at_rational_q(model, k, _fraction(args.q), N=args.N, M=args.M)
@@ -273,23 +281,6 @@ def _cmd_suite(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-_IDENTITIES = (
-    "main-finite",
-    "main-finite-bz",
-    "main-infinite",
-    "g-diff",
-    "recurrence",
-    "b-diff",
-    "transform",
-    "dual-flat",
-    "dual-diamond",
-    "qmsw",
-    "classical",
-    "bridge",
-    "independence",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -319,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("verify", parents=[common], help="check one identity instance")
-    p.add_argument("--identity", required=True, choices=_IDENTITIES)
+    p.add_argument("--identity", required=True, choices=IDENTITIES)
     p.add_argument("--eps", type=int, choices=(0, 1), default=None)
     p.add_argument("--c", default=None)
     p.add_argument("--l", default=None)
@@ -340,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[common], help="run the verification suite")
     p.add_argument("--config", required=True, help="JSON config path, or 'default'")
-    p.add_argument("--filter", default=None, help="run only this identity")
+    p.add_argument("--filter", default=None, choices=IDENTITIES, help="run only this identity")
     p.set_defaults(func=_cmd_suite)
 
     return parser

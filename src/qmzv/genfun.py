@@ -27,7 +27,7 @@ from .combinat import eo_count, kappa, tilings
 from .errors import OrderMismatchError, ParameterError
 from .models import check_window, xi_value
 from .report import Report
-from .series import QSeries, bracket, inv_bracket_pow
+from .series import QSeries, bracket, inv_bracket_pow, kernel
 
 
 class MultiPoly:
@@ -256,8 +256,7 @@ def difference_kernels(eps: int, M: int, N: int, maxdeg: int, order: int):
         1, maxdeg, order, [((t,), inv_bracket_pow(N - M, t, order)) for t in range(maxdeg + 1)]
     )
     if eps:
-        lift = QSeries.monomial(order, M) * inv_bracket_pow(M, 1, order)
-        row = row * _poly(1, maxdeg, order, [((0,), one), ((1,), lift)])
+        row = row * _poly(1, maxdeg, order, [((0,), one), ((1,), kernel(M, M, 1, order))])
 
     geo_height = _poly(
         2, maxdeg, order, [((0, t), inv_bracket_pow(N - M, t, order)) for t in range(maxdeg + 1)]
@@ -266,10 +265,7 @@ def difference_kernels(eps: int, M: int, N: int, maxdeg: int, order: int):
         2, maxdeg, order, [((t, 0), inv_bracket_pow(M, t + 1, order)) for t in range(maxdeg + 1)]
     )
     cap = _pair_cap(2, maxdeg, order, N, 1, 0)
-    scalar = QSeries.monomial(order, M)
-    if eps:
-        scalar = scalar * inv_bracket_pow(M, 1, order)
-    corner = geo_height * cap * geo_entry * scalar
+    corner = geo_height * cap * geo_entry * kernel(M, M, eps, order)
     return row, corner
 
 
@@ -304,10 +300,7 @@ def verify_b_diff(eps: int, M: int, N: int, maxdeg: int, order: int) -> Report:
     row, corner = difference_kernels(eps, M, N, maxdeg, order)
     # three slots: 0 = entry variable, 1 and 2 = the two height arguments
     lhs = corner.embed(3, (0, 1)) - corner.embed(3, (0, 2))
-    scalar = QSeries.monomial(order, N)
-    if eps:
-        scalar = scalar * inv_bracket_pow(N, 1, order)
-    rhs = (row.embed(3, (1,)) - row.embed(3, (2,))) * scalar
+    rhs = (row.embed(3, (1,)) - row.embed(3, (2,))) * kernel(N, N, eps, order)
     return compare_polys("b-diff", params, lhs, rhs)
 
 
@@ -336,13 +329,10 @@ def verify_g_diff(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> 
     full = xi_genfun(eps, M, N, r, maxdeg, order)
     term = peel_x * full
     if eps:
-        lift = QSeries.monomial(order, M) * inv_bracket_pow(M, 1, order)
+        lift = kernel(M, M, 1, order)
         term = term * _poly(nv, maxdeg, order, [((0,) * nv, one), (_unit_exp(nv, 0), lift)])
-    scalar = QSeries.monomial(order, M)
-    if eps:
-        scalar = scalar * inv_bracket_pow(M, 1, order)
     dropped = xi_genfun(eps, M, N, r - 1, maxdeg, order).embed(nv, tuple(range(2, nv)))
-    rhs = (term + dropped * scalar) * bNM
+    rhs = (term + dropped * kernel(M, M, eps, order)) * bNM
     return compare_polys("g-diff", params, lhs, rhs)
 
 
@@ -386,9 +376,7 @@ def verify_recurrence(eps: int, M: int, N: int, r: int, maxdeg: int, order: int)
         kap = kappa(T)
         small = boundary_scaled(xi_genfun(eps, M, N, r - kap, maxdeg, order), N)
         survivors = tuple(p - 1 for p in range(1, nv + 1) if p not in set(T))
-        scalar = QSeries.monomial(order, N * kap)
-        if eps:
-            scalar = scalar * inv_bracket_pow(N, kap, order)
+        scalar = kernel(N * kap, N, eps * kap, order)
         sign = (-1) ** eo_count(T)
         total = total + small.embed(nv, survivors) * (scalar * sign)
     rhs = total * window_gap

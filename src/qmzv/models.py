@@ -2,19 +2,21 @@
 
 Every model here is a sum over tuples M < n_1 (<= or <) n_2 ... < N (finite
 window) or 0 < n_1 < n_2 < ... (infinite, truncated at the series order) of a
-product of one factor per position.  The factor kinds that occur:
+product of one factor per position.  Every factor has one shape,
 
-    pow   q^n / (1-q^n)^k
-    bz    q^(n(k-1)) / (1-q^n)^k
-    sz    q^(nk) / (1-q^n)^k
-    bar   1 / (1-q^(N-n))
-    geo   q^(N-n) / (1-q^(N-n))
+    q^(s x) / (1-q^x)^k,   x = n, or x = N - n at the top boundary,
 
-The infinite dagger sums use the run factor below, and zeta_poly a factor
-with a numerator polynomial Q(q^n):
+with s and k fixed per position:
 
-    run   C(n-low+l-1, l-1) q^n / (1-q^n)^k
-    poly  Q(q^n) / (1-q^n)^k
+    s = 1       q^n / (1-q^n)^k           dagger entries
+    s = k - 1   q^(n(k-1)) / (1-q^n)^k    bz entries
+    s = k       q^(nk) / (1-q^n)^k        sz entries
+    s = 0       1 / (1-q^(N-n))           bar entries (k = 1)
+    s = 1       q^(N-n) / (1-q^(N-n))     boundary of the bz models (k = 1)
+
+The infinite dagger sums weight an s = 1 factor by the run count
+C(n-low+l-1, l-1), and zeta_poly replaces q^(s x) by a numerator
+polynomial Q(q^n).
 
 Every model is a tuple of slots (the factor choices at each position), a
 range [low, top) for the variables, and a value ring; one walker, a suffix
@@ -25,8 +27,8 @@ infinite dagger model each run of l - 1 bar entries before an entry k is one
 run slot: the bar variables carry no factor there, so their weakly tied
 values between the previous variable and n are only counted, by the binomial
 weight.  The value rings are truncated integer/rational q-series, exact
-rationals at a fixed rational q (|q| not 0 or 1), and the classical limits
-where pow becomes 1/n^k and bar becomes 1/(N-n).
+rationals at a fixed rational q (|q| not 0 or 1), and the classical limits,
+where every factor becomes 1/x^k.
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -38,10 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
+from typing import NamedTuple
 
 from .errors import AdmissibilityError, MembershipError, ParameterError
 from .report import Report, compare_values
-from .series import QSeries, bz_kernel, inv_bracket_pow, pow_kernel, sz_kernel
+from .series import QSeries, kernel
 from .words import (
     BAR1,
     H1,
@@ -76,6 +79,9 @@ def _check_order(order: int) -> int:
 
 
 # -- value rings --------------------------------------------------------------
+#
+# A value ring gives the kernel q^a / (1-q^m)^k in its own values, plus the
+# one and zero the walker sums with.
 
 
 class _SeriesValues:
@@ -84,27 +90,8 @@ class _SeriesValues:
         self.one = QSeries.one(order)
         self.zero = QSeries.zero(order)
 
-    def pow_factor(self, n, k):
-        return pow_kernel(n, k, self.order)
-
-    def bz_factor(self, n, k):
-        return bz_kernel(n, k, self.order)
-
-    def sz_factor(self, n, k):
-        return sz_kernel(n, k, self.order)
-
-    def bar_factor(self, m):
-        return inv_bracket_pow(m, 1, self.order)
-
-    def geo_factor(self, m):
-        return pow_kernel(m, 1, self.order)
-
-    def poly_factor(self, n, k, cs):
-        num = self.zero
-        for t, c in enumerate(cs):
-            if c and n * t <= self.order:
-                num = num + QSeries.monomial(self.order, n * t, c)
-        return num * inv_bracket_pow(n, k, self.order)
+    def kernel(self, a, m, k):
+        return kernel(a, m, k, self.order)
 
 
 class _PointValues:
@@ -113,71 +100,47 @@ class _PointValues:
         self.one = Fraction(1)
         self.zero = Fraction(0)
 
-    def _bracket(self, n):
-        b = 1 - self.q**n
+    def kernel(self, a, m, k):
+        b = 1 - self.q**m
         if b == 0:
-            raise ParameterError(f"1 - q^{n} vanishes at q = {self.q}")
-        return b
-
-    def pow_factor(self, n, k):
-        return self.q**n / self._bracket(n) ** k
-
-    def bz_factor(self, n, k):
-        return self.q ** (n * (k - 1)) / self._bracket(n) ** k
-
-    def sz_factor(self, n, k):
-        return self.q ** (n * k) / self._bracket(n) ** k if k else Fraction(1)
-
-    def bar_factor(self, m):
-        return 1 / self._bracket(m)
-
-    def geo_factor(self, m):
-        return self.q**m / self._bracket(m)
+            raise ParameterError(f"1 - q^{m} vanishes at q = {self.q}")
+        return self.q**a / b**k
 
 
 class _ClassicalValues:
     one = Fraction(1)
     zero = Fraction(0)
 
-    def pow_factor(self, n, k):
-        return Fraction(1, n**k)
-
-    bz_factor = pow_factor
-
-    def bar_factor(self, m):
-        return Fraction(1, m)
+    def kernel(self, a, m, k):
+        return Fraction(1, m**k)
 
 
 # -- the walker -------------------------------------------------------------------
 #
-# A slot per position holds the alternative (kind, arg, gap) factor choices at
-# that position; gap 1 forces the next variable strictly above, gap 0 allows
-# a tie.  Positions where an entry equal to 1 may flip to the boundary factor
-# simply carry two choices, which replaces the outer sum over subsets.
+# A slot per position holds the alternative factor choices at that position.
+# Positions where an entry equal to 1 may flip to the boundary factor simply
+# carry two choices, which replaces the outer sum over subsets.
 
 
-def _factor(vals, kind, arg, n, low, top):
-    if kind == "pow":
-        return vals.pow_factor(n, arg)
-    if kind == "bz":
-        return vals.bz_factor(n, arg)
-    if kind == "sz":
-        return vals.sz_factor(n, arg)
-    if kind == "bar":
-        return vals.bar_factor(top - n)
-    if kind == "geo":
-        return vals.geo_factor(top - n)
-    if kind == "run":
-        l, k = arg
-        return comb(n - low + l - 1, l - 1) * vals.pow_factor(n, k)
-    if kind == "poly":
-        return vals.poly_factor(n, *arg)
-    raise ParameterError(f"unknown factor kind {kind!r}")
+class _Choice(NamedTuple):
+    """The factor q^(s x) / (1-q^x)^k at a variable n, where x = top - n if
+    reflected and x = n otherwise.  gap 1 forces the next variable strictly
+    above n, gap 0 allows a tie.  l > 1 weights the factor by the run count
+    C(n-low+l-1, l-1); a poly (c_0, c_1, ...) replaces q^(s x) by the
+    numerator sum of c_t q^(t x)."""
+
+    s: int
+    k: int
+    gap: int = 1
+    reflected: bool = False
+    l: int = 1
+    poly: tuple | None = None
 
 
 def _walk(slots, low, top, vals):
     """Sum over low <= n_1 (<= or <) n_2 ... < top of the slot factors."""
     r = len(slots)
+    kern = vals.kernel
     memo = {}
 
     def suffix(j, low):
@@ -189,8 +152,15 @@ def _walk(slots, low, top, vals):
             return cached
         total = vals.zero
         for n in range(low, top):
-            for kind, arg, gap in slots[j]:
-                f = _factor(vals, kind, arg, n, low, top)
+            for s, k, gap, reflected, l, poly in slots[j]:
+                x = top - n if reflected else n
+                if poly is None:
+                    f = kern(s * x, x, k)
+                else:
+                    terms = (c * kern(t * x, x, k) for t, c in enumerate(poly) if c)
+                    f = sum(terms, vals.zero)
+                if l > 1:
+                    f = comb(n - low + l - 1, l - 1) * f
                 total = total + f * suffix(j + 1, n + gap)
         memo[key] = total
         return total
@@ -198,49 +168,53 @@ def _walk(slots, low, top, vals):
     return suffix(0, low)
 
 
+_BAR = _Choice(0, 1, gap=0, reflected=True)  # 1/(1-q^(top-n)), weak tie
+
+
 def _dagger_slots(entries):
-    return tuple(
-        (("bar", 0, 0),) if e is BAR1 else (("pow", e, 1),) for e in entries
-    )
+    return tuple((_BAR,) if e is BAR1 else (_Choice(1, e),) for e in entries)
 
 
 def _run_slots(pairs):
-    return tuple(
-        (("run", (pairs[j], pairs[j + 1]), 1),) for j in range(0, len(pairs), 2)
-    )
+    return tuple((_Choice(1, k, l=l),) for l, k in zip(pairs[0::2], pairs[1::2]))
 
 
-def _strict_slots(kind, k):
-    return tuple(((kind, e, 1),) for e in k)
+def _strict_slots(shift, k):
+    # q^(n(k+shift)) / (1-q^n)^k: shift -1 is the bz kernel, 0 the sz one
+    return tuple((_Choice(e + shift, e),) for e in k)
 
 
 def _diamond_slots(variant, k):
-    main, aux = ("pow", "bar") if variant == "dagger" else ("bz", "geo")
+    # dagger: q^n/(1-q^n)^e, with 1/(1-q^(top-n)) for flipped ones;
+    # bz: q^(n(e-1))/(1-q^n)^e, with q^(top-n)/(1-q^(top-n))
+    bz = variant == "bz"
+    aux = _Choice(int(bz), 1, gap=0, reflected=True)
     slots = []
     for e in k:
-        if e == 1:
-            slots.append(((aux, 0, 0), (main, 1, 1)))
-        else:
-            slots.append(((main, e, 1),))
+        main = _Choice(e - 1 if bz else 1, e)
+        slots.append((aux, main) if e == 1 else (main,))
     return tuple(slots)
 
 
 def _reflected_slots(k):
-    # weak blocks of size k_j; the first variable of each block carries the
-    # q^(N-n) factor, later ones 1/(1-q^n); strict step between blocks
+    # weak blocks of size k_j; the first variable of each block carries
+    # q^(N-n)/(1-q^(N-n)), later ones 1/(1-q^n); strict step between blocks
     slots = []
     for kj in k:
         for t in range(1, kj + 1):
-            kind = "geo" if t == 1 else "bz"
-            slots.append(((kind, 1, 1 if t == kj else 0),))
+            gap = 1 if t == kj else 0
+            if t == 1:
+                slots.append((_Choice(1, 1, gap, reflected=True),))
+            else:
+                slots.append((_Choice(0, 1, gap),))
     return tuple(slots)
 
 
 _SLOTS = {
     "dagger": _dagger_slots,
     "dagger-runs": _run_slots,
-    "bz": partial(_strict_slots, "bz"),
-    "sz": partial(_strict_slots, "sz"),
+    "bz": partial(_strict_slots, -1),
+    "sz": partial(_strict_slots, 0),
     "diamond-dagger": partial(_diamond_slots, "dagger"),
     "diamond-bz": partial(_diamond_slots, "bz"),
     "reflected": _reflected_slots,
@@ -379,7 +353,7 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
         coeffs.append(cs)
     if k and (not coeffs[-1] or coeffs[-1][0] != 0):
         raise ParameterError("the last polynomial must have zero constant term")
-    slots = tuple((("poly", (kj, cs), 1),) for kj, cs in zip(k, coeffs))
+    slots = tuple((_Choice(0, kj, poly=cs),) for kj, cs in zip(k, coeffs))
     return _walk(slots, 1, order + 1, _SeriesValues(order))
 
 
@@ -391,7 +365,7 @@ def classical_zeta(k, N: int) -> Fraction:
     """Strict truncated harmonic sum of 1/(n_1^(k_1) ... n_r^(k_r))."""
     k = check_index(k)
     check_window(0, N)
-    return _walk(_strict_slots("pow", k), 1, N, _ClassicalValues())
+    return _walk(_SLOTS["bz"](k), 1, N, _ClassicalValues())
 
 
 @lru_cache(maxsize=None)

@@ -180,11 +180,11 @@ def invert_unit(s: QSeries) -> QSeries:
     return QSeries(n, res)
 
 
-# -- cached building blocks -------------------------------------------------
+# -- kernels ---------------------------------------------------------------
 #
-# Every evaluator denominator is a power of 1 - q^n, so these four factories
-# cover all kernels that appear in nested sums.  They are cached because the
-# same (n, k, order) triples recur across thousands of lattice points.
+# Every factor of a nested sum is q^a / (1 - q^m)^k, so kernel() is the one
+# place that builds it.  It is cached because the same (a, m, k, order)
+# tuples recur across thousands of lattice points.
 
 
 def bracket(n: int, order: int) -> QSeries:
@@ -214,29 +214,16 @@ def inv_bracket_pow(n: int, k: int, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
+def kernel(a: int, m: int, k: int, order: int) -> QSeries:
+    """q^a / (1 - q^m)^k: the zero series when a > order, q^a when k = 0."""
+    if a > order:
+        return QSeries.zero(order)
+    return inv_bracket_pow(m, k, order).shift(a)
+
+
 def pow_kernel(n: int, k: int, order: int) -> QSeries:
     """q^n / (1 - q^n)^k."""
-    return inv_bracket_pow(n, k, order).shift(n) if n <= order else QSeries.zero(order)
-
-
-@lru_cache(maxsize=None)
-def bz_kernel(n: int, k: int, order: int) -> QSeries:
-    """q^(n(k-1)) / (1 - q^n)^k."""
-    a = n * (k - 1)
-    if a > order:
-        return QSeries.zero(order)
-    return inv_bracket_pow(n, k, order).shift(a)
-
-
-@lru_cache(maxsize=None)
-def sz_kernel(n: int, k: int, order: int) -> QSeries:
-    """q^(nk) / (1 - q^n)^k; the empty factor 1 when k = 0."""
-    if k == 0:
-        return QSeries.one(order)
-    a = n * k
-    if a > order:
-        return QSeries.zero(order)
-    return inv_bracket_pow(n, k, order).shift(a)
+    return kernel(n, n, k, order)
 
 
 # -- rendering ---------------------------------------------------------------

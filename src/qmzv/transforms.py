@@ -20,6 +20,7 @@ from .series import QSeries
 from .words import (
     BarIndex,
     bar_from_pairs,
+    check_index,
     interleave_pairs,
     pairs_from_bar,
     pairs_from_sz,
@@ -31,16 +32,6 @@ DAGGER_FROM_SZ = "dagger_from_SZ"
 DIRECTIONS = (SZ_FROM_DAGGER, DAGGER_FROM_SZ)
 
 
-def _check_positive(name: str, m) -> tuple:
-    if m is None:
-        raise ParameterError(f"{name} must be a sequence of ints >= 1, got None")
-    m = tuple(m)
-    for e in m:
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"{name} entries must be ints >= 1, got {m}")
-    return m
-
-
 def coeff(kind: str, m, mp) -> int:
     """Product of per-position binomials C(m_j - 1, m'_j - 1).
 
@@ -49,8 +40,8 @@ def coeff(kind: str, m, mp) -> int:
     """
     if kind not in ("b", "bbar"):
         raise ParameterError(f"kind must be 'b' or 'bbar', got {kind!r}")
-    m = _check_positive("m", m)
-    mp = _check_positive("m'", mp)
+    m = check_index(m, "m")
+    mp = check_index(mp, "m'")
     if len(m) != len(mp):
         raise ParameterError(f"length mismatch: {m} vs {mp}")
     value = 1
@@ -77,7 +68,7 @@ def expand(direction: str, with_bars: bool, l, k) -> list:
     if direction not in DIRECTIONS:
         raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     kind = "bbar" if direction == SZ_FROM_DAGGER else "b"
-    k = _check_positive("k", k)
+    k = check_index(k, "k")
     out = []
     if not with_bars:
         if l is not None:
@@ -87,7 +78,7 @@ def expand(direction: str, with_bars: bool, l, k) -> list:
             target = BarIndex(kp) if direction == SZ_FROM_DAGGER else kp
             out.append((c, target))
         return out
-    l = _check_positive("l", l)
+    l = check_index(l, "l")
     for lp in _ranges(l):
         cl = coeff(kind, l, lp)
         for kp in _ranges(k):
@@ -119,7 +110,7 @@ def verify_transform(which: int, l, k, order: int) -> Report:
     """
     if which not in (1, 2, 3, 4):
         raise ParameterError(f"which must be 1..4, got {which!r}")
-    k = _check_positive("k", k)
+    k = check_index(k, "k")
     params = {
         "which": which,
         "l": None if l is None else tuple(l),
@@ -127,7 +118,7 @@ def verify_transform(which: int, l, k, order: int) -> Report:
         "order": order,
     }
     if which == 1:
-        l = _check_positive("l", l)
+        l = check_index(l, "l")
         lhs = zeta_infinite("sz", sz_from_pairs(interleave_pairs(l, k)), order=order)
         rhs = _combine("dagger", expand(SZ_FROM_DAGGER, True, l, k), order)
     elif which == 2:
@@ -136,7 +127,7 @@ def verify_transform(which: int, l, k, order: int) -> Report:
         lhs = zeta_infinite("sz", k, order=order)
         rhs = _combine("dagger", expand(SZ_FROM_DAGGER, False, None, k), order)
     elif which == 3:
-        l = _check_positive("l", l)
+        l = check_index(l, "l")
         lhs = zeta_infinite("dagger", bar_from_pairs(interleave_pairs(l, k)), order=order)
         rhs = _combine("sz", expand(DAGGER_FROM_SZ, True, l, k), order)
     else:
@@ -154,7 +145,7 @@ def roundtrip(with_bars: bool, l, k) -> dict:
     pair tuples.  The mutual-inverse property says the result is 1 on the
     input and 0 elsewhere.
     """
-    k = _check_positive("k", k)
+    k = check_index(k, "k")
     collected: dict[tuple, int] = {}
     if not with_bars:
         for c1, mid in expand(SZ_FROM_DAGGER, False, None, k):
@@ -162,7 +153,7 @@ def roundtrip(with_bars: bool, l, k) -> dict:
             for c2, back in expand(DAGGER_FROM_SZ, False, None, mid_tuple):
                 collected[back] = collected.get(back, 0) + c1 * c2
     else:
-        l = _check_positive("l", l)
+        l = check_index(l, "l")
         for c1, mid in expand(SZ_FROM_DAGGER, True, l, k):
             pairs = pairs_from_bar(mid)
             for c2, back in expand(DAGGER_FROM_SZ, True, pairs[0::2], pairs[1::2]):

@@ -233,6 +233,23 @@ def independence_check(model: str, max_weight: int, N_list, order: int) -> Repor
 # -- suite --------------------------------------------------------------------------
 
 
+IDENTITIES = (
+    "main-finite",
+    "main-finite-bz",
+    "main-infinite",
+    "g-diff",
+    "recurrence",
+    "b-diff",
+    "transform",
+    "dual-flat",
+    "dual-diamond",
+    "qmsw",
+    "classical",
+    "bridge",
+    "independence",
+)
+
+
 _DEFAULT_Q_SAMPLES = ("2", "1/2", "3", "-2", "5/7")
 
 
@@ -398,6 +415,10 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
     "failed" count is what drives exit status upstream.  Observed constructor
     coefficient statistics are recorded, never asserted.
     """
+    if filter_identity is not None and filter_identity not in IDENTITIES:
+        raise ParameterError(
+            f"unknown identity {filter_identity!r}; choose one of {IDENTITIES}"
+        )
     cases = _enumerate_cases(cfg)
     if filter_identity is not None:
         cases = [(name, thunk) for name, thunk in cases if name == filter_identity]

@@ -208,11 +208,15 @@ def element_from_json(data: dict) -> AlgebraElement:
 # -- composition indices -----------------------------------------------------
 
 
-def check_index(k: Sequence[int]) -> tuple:
-    k = tuple(k)
+def check_index(k: Sequence[int], name: str = "index") -> tuple:
+    """k as a tuple of ints >= 1; ParameterError naming it otherwise."""
+    try:
+        k = tuple(k)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence of ints >= 1, got {k!r}") from None
     for e in k:
         if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"index entries must be ints >= 1, got {k}")
+            raise ParameterError(f"{name} entries must be ints >= 1, got {k}")
     return k
 
 
@@ -304,12 +308,9 @@ def bar_from_pairs(c: Sequence[int]) -> BarIndex:
 
 
 def check_pairs(c: Sequence[int]) -> tuple:
-    c = tuple(c)
+    c = check_index(c, "pair sequence")
     if len(c) % 2:
         raise ParameterError(f"pair sequence must have even length, got {c}")
-    for e in c:
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"pair entries must be ints >= 1, got {c}")
     return c
 
 

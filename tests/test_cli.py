@@ -103,6 +103,20 @@ def test_exit_codes(capsys):
     assert code == 1 and "--c" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "bz", "--index", "2", "--N", "3", "--order", "4"),
+    ("--model", "diamond-bz", "--index", "2", "--N", "3", "--order", "4"),
+    ("--model", "reflected", "--index", "2", "--N", "3", "--order", "4"),
+    ("--model", "dagger", "--index", "2", "--order", "4"),
+    ("--model", "sz", "--index", "2", "--order", "4"),
+    ("--model", "classical", "--index", "2", "--N", "3"),
+    ("--model", "classical-diamond", "--index", "2", "--N", "3"),
+])
+def test_eval_rejects_lower_bound_without_window(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv, "--M", "1")
+    assert code == 1 and "error:" in err and "--M" in err and out == ""
+
+
 def test_missing_order_is_domain_error(capsys):
     code, _, err = run(capsys, "eval", "--model", "dagger", "--index", "2,1", "--N", "2")
     assert code == 1 and "--order" in err
@@ -131,6 +145,11 @@ def test_suite_filter(capsys, tmp_path):
     code, out, _ = run(capsys, "suite", "--config", str(cfg), "--filter", "classical")
     assert code == 0
     assert {r["identity"] for r in json.loads(out)} == {"classical"}
+
+
+def test_unknown_suite_filter_is_usage_error(capsys):
+    code, out, err = run(capsys, "suite", "--config", "default", "--filter", "bogus")
+    assert code == 2 and out == "" and "bogus" in err
 
 
 def test_suite_bad_config(capsys, tmp_path):

@@ -143,18 +143,27 @@ def q_kernel(a, n, k, order):
     return QSeries.monomial(order, a) * inv_bracket_pow(n, k, order)
 
 
-def brute_diamond(variant, k, M, N, order):
+def series_kern(order):
+    return lambda a, n, k: q_kernel(a, n, k, order)
+
+
+def point_kern(q):
+    """q^a / (1-q^n)^k at a rational q."""
+    return lambda a, n, k: q**a / (1 - q**n) ** k
+
+
+def brute_diamond(variant, k, M, N, kern, one):
     """Sum over the sets A of 1-positions that take the boundary factor with a
-    weak tie; every other position keeps its main factor and a strict step."""
+    weak tie; every other position keeps its main factor and a strict step.
+    kern(a, n, k) is q^a/(1-q^n)^k in the ring whose unit is one."""
     def main(e):
         if variant == "dagger":
-            return lambda n: q_kernel(n, n, e, order)
-        return lambda n: q_kernel(n * (e - 1), n, e, order)
+            return lambda n: kern(n, n, e)
+        return lambda n: kern(n * (e - 1), n, e)
 
     def aux(n):
-        return q_kernel(0 if variant == "dagger" else N - n, N - n, 1, order)
+        return kern(0 if variant == "dagger" else N - n, N - n, 1)
 
-    one = QSeries.one(order)
     ones = [i for i, e in enumerate(k) if e == 1]
     total = one - one
     for bits in product((False, True), repeat=len(ones)):
@@ -208,10 +217,11 @@ def test_diamond_finite_matches_brute_force():
     order = 10
     for k in ((2,), (1, 2), (1, 1, 2), (1, 3), (2, 1, 2), (1, 2, 1, 2)):
         for N in (2, 3, 5):
-            want = brute_diamond("bz", k, 0, N, order)
+            kern, one = series_kern(order), QSeries.one(order)
+            want = brute_diamond("bz", k, 0, N, kern, one)
             assert models.zeta_diamond_finite("bz", k, N=N, order=order) == want, (k, N)
             for M in range(0, min(N, 3)):
-                want = brute_diamond("dagger", k, M, N, order)
+                want = brute_diamond("dagger", k, M, N, kern, one)
                 got = models.zeta_diamond_finite("dagger", k, N=N, M=M, order=order)
                 assert got == want, (k, M, N)
 
@@ -353,6 +363,15 @@ def test_infinite_bz_depth_two_brute_force():
         factors = [lambda n, e=e: q_kernel(n * (e - 1), n, e, order) for e in k]
         want = brute_lattice(factors, [False, False], 1, order + 1, QSeries.one(order))
         assert models.zeta_infinite("bz", k, order=order) == want, k
+
+
+def test_infinite_sz_zero_entries_brute_force():
+    # a zero entry carries the factor 1 but keeps the strict step
+    order = 10
+    for k in ((0, 1), (0, 2), (1, 0, 2), (0, 0, 1), (2, 0, 1), (0, 3)):
+        factors = [lambda n, e=e: q_kernel(n * e, n, e, order) for e in k]
+        want = brute_lattice(factors, [False] * len(k), 1, order + 1, QSeries.one(order))
+        assert models.zeta_infinite("sz", k, order=order) == want, k
 
 
 def test_sz_zero_blocks_binomial_oracle():
@@ -513,6 +532,20 @@ def test_eval_at_rational_q_matches_brute_force():
                 ]
                 want = brute_lattice(factors, [False] * len(k), 1, N, Fraction(1))
                 assert models.eval_at_rational_q("bz", k, q, N=N) == want, (q, N, k)
+
+
+def test_eval_at_rational_q_diamond_matches_brute_force():
+    for q in (Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
+        kern, one = point_kern(q), Fraction(1)
+        for N in (2, 3, 4):
+            for k in ((2,), (1, 2), (1, 1, 2), (2, 1, 3)):
+                want = brute_diamond("bz", k, 0, N, kern, one)
+                got = models.eval_at_rational_q("diamond-bz", k, q, N=N)
+                assert got == want, (q, N, k)
+                for M in range(0, N - 1):
+                    want = brute_diamond("dagger", k, M, N, kern, one)
+                    got = models.eval_at_rational_q("diamond-dagger", k, q, N=N, M=M)
+                    assert got == want, (q, N, M, k)
 
 
 def test_verify_bridge():

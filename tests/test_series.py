@@ -9,14 +9,13 @@ from qmzv.errors import NonInvertibleError, OrderMismatchError, ParameterError
 from qmzv.series import (
     QSeries,
     bracket,
-    bz_kernel,
     format_qseries,
     inv_bracket_pow,
     invert_unit,
+    kernel,
     pow_kernel,
     series_from_json,
     series_to_json,
-    sz_kernel,
 )
 
 
@@ -70,14 +69,17 @@ def test_bracket_times_inverse_is_one():
 
 
 def test_kernel_shifts():
+    # q^a/(1-q^m)^k against an inverse computed by invert_unit, including
+    # k = 0, a = 0 and a beyond the order
     order = 10
-    for n in (1, 2, 3):
-        for k in (1, 2, 3):
-            inv = inv_bracket_pow(n, k, order)
-            assert pow_kernel(n, k, order) == inv.shift(n)
-            assert bz_kernel(n, k, order) == inv.shift(n * (k - 1))
-            assert sz_kernel(n, k, order) == inv.shift(n * k)
-    assert sz_kernel(3, 0, order) == QSeries.one(order)
+    for a in (0, 1, 2, 5, 10, 11, 30):
+        for m in (1, 2, 3, 7):
+            for k in (0, 1, 2, 3):
+                want = QSeries.monomial(order, a) * invert_unit(bracket(m, order) ** k)
+                assert kernel(a, m, k, order) == want, (a, m, k)
+            assert pow_kernel(m, 2, order) == kernel(m, m, 2, order)
+    assert kernel(0, 3, 0, order) == QSeries.one(order)
+    assert kernel(11, 3, 2, order).is_zero()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

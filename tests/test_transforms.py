@@ -73,6 +73,8 @@ def test_expand_validation():
         expand(DAGGER_FROM_SZ, False, (1,), (1,))
     with pytest.raises(ParameterError):
         expand(DAGGER_FROM_SZ, True, (1, 2), (1,))
+    with pytest.raises(ParameterError, match="^l must be"):
+        expand(DAGGER_FROM_SZ, True, None, (1,))
 
 
 def test_expand_support_bound():

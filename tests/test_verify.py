@@ -1,6 +1,7 @@
 """Suite-level checks: single verifiers, config handling, determinism,
 rank evidence against an independent oracle, and sign-mutation detection."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from qmzv.errors import ParameterError
 from qmzv.models import z_map
 from qmzv.report import reports_to_json
 from qmzv.verify import (
+    IDENTITIES,
     SuiteConfig,
+    _enumerate_cases,
     config_from_json,
     config_from_mapping,
     exact_rank,
@@ -120,9 +123,16 @@ def test_config_from_json():
         config_from_mapping({"order": -1})
 
 
+# sha256 of the SMALL suite's JSON report stream; it changes only when a
+# report changes, which a refactor must not do
+SMALL_SUITE_SHA256 = "d63dbf717ba84d95e1b66f11185a67753abbb3a7bfe6fba11bb052bd06f24141"
+
+
 def test_small_suite_all_pass():
     reports, summary = run_suite(SMALL)
     assert summary["failed"] == 0
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == SMALL_SUITE_SHA256
     assert summary["cases"] == len(reports) > 200
     assert summary["passed"] == summary["cases"]
     assert set(summary["identities"]) >= {
@@ -144,8 +154,14 @@ def test_suite_filter():
     reports, summary = run_suite(SMALL, filter_identity="classical")
     assert summary["cases"] == len(reports) > 0
     assert {r.identity for r in reports} == {"classical"}
-    reports, summary = run_suite(SMALL, filter_identity="no-such-identity")
-    assert summary["cases"] == 0 and reports == []
+    with pytest.raises(ParameterError):
+        run_suite(SMALL, filter_identity="no-such-identity")
+
+
+def test_identity_registry_matches_enumeration():
+    names = {name for name, _ in _enumerate_cases(SuiteConfig())}
+    assert len(set(IDENTITIES)) == len(IDENTITIES)
+    assert names == set(IDENTITIES)
 
 
 def test_weight_zero_suite_is_vacuous_but_passes():

@@ -14,6 +14,7 @@ from qmzv.words import (
     AlgebraElement,
     BarIndex,
     bar_from_pairs,
+    check_index,
     element_from_json,
     element_to_json,
     format_element,
@@ -169,6 +170,17 @@ def test_pair_codec_round_trip():
         assert k.is_admissible()
         assert pairs_from_bar(k) == flat
         assert k.weight() == pair_weight(flat)
+
+
+def test_check_index_rejects_non_sequences():
+    assert check_index([2, 1]) == (2, 1)
+    for bad in (None, 5):
+        with pytest.raises(ParameterError, match="^k must be a sequence"):
+            check_index(bad, "k")
+    with pytest.raises(ParameterError, match="^index entries"):
+        check_index((1, 0))
+    with pytest.raises(ParameterError, match="^pair sequence must be"):
+        bar_from_pairs(None)
 
 
 def test_weights():
