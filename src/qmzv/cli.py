@@ -15,13 +15,11 @@ from fractions import Fraction
 
 from .constructor import bz_word, classical_expansion_word, expansion_word
 from .errors import ParameterError, QmzvError
-from .genfun import verify_b_diff, verify_g_diff, verify_recurrence
 from .models import (
     classical_zeta,
     classical_zeta_blocks,
     classical_zeta_diamond,
     eval_at_rational_q,
-    verify_bridge,
     xi_value,
     zeta_bz_finite,
     zeta_dagger_finite,
@@ -31,19 +29,8 @@ from .models import (
 )
 from .report import format_report, reports_to_json
 from .series import format_qseries, series_to_json
-from .transforms import DIRECTIONS, expand, verify_transform
-from .verify import (
-    IDENTITIES,
-    SuiteConfig,
-    config_from_json,
-    independence_check,
-    run_suite,
-    verify_classical,
-    verify_main_finite,
-    verify_main_finite_bz,
-    verify_main_infinite,
-    verify_remarks,
-)
+from .transforms import DIRECTIONS, expand
+from .verify import IDENTITIES, SuiteConfig, config_from_json, run_suite
 from .words import BarIndex, element_to_json, format_element, parse_index, render_index
 
 
@@ -74,11 +61,14 @@ def _int_list(text: str) -> tuple:
         raise ParameterError(f"bad integer list {text!r}") from None
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require(args, identity: str, *names):
     for name in names:
         if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ParameterError(f"{identity} requires {flag}")
+            raise ParameterError(f"{identity} requires {_flag(name)}")
 
 
 # -- output -------------------------------------------------------------------------
@@ -206,50 +196,71 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _run_verify(args) -> list:
-    identity = args.identity
-    if identity == "main-finite":
-        _require(args, identity, "eps", "c", "N", "order")
-        return [verify_main_finite(args.eps, _plain_index(args.c, "--c"), args.N, args.order)]
-    if identity == "main-finite-bz":
-        _require(args, identity, "c", "N", "order")
-        qs = _fraction_list(args.q) if args.q is not None else (
-            Fraction(2), Fraction(1, 2), Fraction(3),
+# Every parameter of a registry identity is a verify flag of the same name.
+_VERIFY_FLAGS = tuple(dict.fromkeys(p for i in IDENTITIES.values() for p in i.params))
+
+# argparse keywords of the verify flags; a flag not listed takes a string
+_VERIFY_FLAG_ARGS = {
+    "eps": {"type": int, "choices": (0, 1)},
+    "N": {"type": int},
+    "M": {"type": int},
+    "r": {"type": int},
+    "maxdeg": {"type": int},
+    "order": {"type": int},
+    "max_weight": {"type": int},
+    "N_list": {"type": _int_list},
+    "q": {"help": "rational, or comma list for main-finite-bz"},
+    "side": {"choices": ("dagger", "bz")},
+    "which": {"type": int, "choices": (1, 2, 3, 4)},
+    "model": {"choices": ("dagger_finite", "bz_finite")},
+}
+
+# What turns a string flag into its argument, per flag or per (identity, flag)
+_VERIFY_PARSERS = {
+    "c": lambda text: _plain_index(text, "--c"),
+    "l": lambda text: _plain_index(text, "--l"),
+    "k": lambda text: _plain_index(text, "--k"),
+    "q": _fraction,
+    ("main-finite-bz", "q"): _fraction_list,
+}
+
+# The flags an identity may omit, with the argument that stands in for them;
+# every other flag an identity takes is required.
+_VERIFY_DEFAULTS = {
+    ("main-finite-bz", "q"): (Fraction(2), Fraction(1, 2), Fraction(3)),
+    ("transform", "l"): None,
+    ("independence", "max_weight"): 4,
+    ("independence", "N_list"): tuple(range(1, 7)),
+}
+
+
+def _verify_epilog() -> str:
+    lines = ["identities and their flags ([optional]):"]
+    for name, identity in IDENTITIES.items():
+        flags = (
+            f"[{_flag(p)}]" if (name, p) in _VERIFY_DEFAULTS else _flag(p)
+            for p in identity.params
         )
-        return [verify_main_finite_bz(_plain_index(args.c, "--c"), args.N, args.order, qs)]
-    if identity == "main-infinite":
-        _require(args, identity, "side", "c", "order")
-        return [verify_main_infinite(args.side, _plain_index(args.c, "--c"), args.order)]
-    if identity == "g-diff":
-        _require(args, identity, "eps", "M", "N", "r", "maxdeg", "order")
-        return [verify_g_diff(args.eps, args.M, args.N, args.r, args.maxdeg, args.order)]
-    if identity == "recurrence":
-        _require(args, identity, "eps", "M", "N", "r", "maxdeg", "order")
-        return [verify_recurrence(args.eps, args.M, args.N, args.r, args.maxdeg, args.order)]
-    if identity == "b-diff":
-        _require(args, identity, "eps", "M", "N", "maxdeg", "order")
-        return [verify_b_diff(args.eps, args.M, args.N, args.maxdeg, args.order)]
-    if identity == "transform":
-        _require(args, identity, "which", "k", "order")
-        l = _plain_index(args.l, "--l") if args.l is not None else None
-        return [verify_transform(args.which, l, _plain_index(args.k, "--k"), args.order)]
-    if identity in ("dual-flat", "dual-diamond"):
-        _require(args, identity, "l", "k", "N", "order")
-        return [verify_remarks(identity, _plain_index(args.l, "--l"),
-                               _plain_index(args.k, "--k"), args.N, args.order)]
-    if identity == "qmsw":
-        _require(args, identity, "k", "N", "order")
-        return [verify_remarks("qmsw", None, _plain_index(args.k, "--k"), args.N, args.order)]
-    if identity == "classical":
-        _require(args, identity, "c", "N")
-        return [verify_classical(_plain_index(args.c, "--c"), args.N)]
-    if identity == "bridge":
-        _require(args, identity, "word", "N", "q")
-        return [verify_bridge(args.word, args.N, _fraction(args.q))]
-    if identity == "independence":
-        _require(args, identity, "model", "order")
-        return [independence_check(args.model, args.max_weight, args.N_list, args.order)]
-    raise ParameterError(f"unknown identity {identity!r}")
+        lines.append(f"  {name:<15} {' '.join(flags)}")
+    return "\n".join(lines)
+
+
+def _run_verify(args) -> list:
+    name = args.identity
+    params = IDENTITIES[name].params
+    extra = [_flag(p) for p in _VERIFY_FLAGS if p not in params and getattr(args, p) is not None]
+    if extra:
+        raise ParameterError(f"{name} does not take {', '.join(extra)}")
+    _require(args, name, *(p for p in params if (name, p) not in _VERIFY_DEFAULTS))
+    values = []
+    for p in params:
+        value = getattr(args, p)
+        if value is None:
+            value = _VERIFY_DEFAULTS[name, p]
+        elif parse := _VERIFY_PARSERS.get((name, p), _VERIFY_PARSERS.get(p)):
+            value = parse(value)
+        values.append(value)
+    return [IDENTITIES[name].check(*values)]
 
 
 def _cmd_verify(args) -> int:
@@ -309,29 +320,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="block tops, comma list")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("verify", parents=[common], help="check one identity instance")
-    p.add_argument("--identity", required=True, choices=IDENTITIES)
-    p.add_argument("--eps", type=int, choices=(0, 1), default=None)
-    p.add_argument("--c", default=None)
-    p.add_argument("--l", default=None)
-    p.add_argument("--k", default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--maxdeg", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--q", default=None, help="rational, or comma list for main-finite-bz")
-    p.add_argument("--side", choices=("dagger", "bz"), default=None)
-    p.add_argument("--which", type=int, choices=(1, 2, 3, 4), default=None)
-    p.add_argument("--word", default=None)
-    p.add_argument("--model", choices=("dagger_finite", "bz_finite"), default=None)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--N-list", type=_int_list, default=tuple(range(1, 7)))
+    p = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="check one identity instance",
+        epilog=_verify_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
+    for name in _VERIFY_FLAGS:
+        p.add_argument(_flag(name), default=None, **_VERIFY_FLAG_ARGS.get(name, {}))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("suite", parents=[common], help="run the verification suite")
     p.add_argument("--config", required=True, help="JSON config path, or 'default'")
-    p.add_argument("--filter", default=None, choices=IDENTITIES, help="run only this identity")
+    p.add_argument(
+        "--filter", default=None, choices=tuple(IDENTITIES), help="run only this identity"
+    )
     p.set_defaults(func=_cmd_suite)
 
     return parser

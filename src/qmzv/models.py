@@ -57,6 +57,8 @@ from .words import (
     diamond_from_pairs,
     index_from_word,
     pairs_from_bar,
+    pairs_from_sz,
+    sz_from_pairs,
 )
 
 
@@ -240,16 +242,6 @@ def _check_admissible_plain(k) -> tuple:
     return k
 
 
-def _check_sz_index(k) -> tuple:
-    k = tuple(k)
-    for e in k:
-        if not isinstance(e, int) or e < 0:
-            raise ParameterError(f"entries must be ints >= 0, got {k}")
-    if k and k[-1] == 0:
-        raise AdmissibilityError(f"index {k} must not end with entry 0")
-    return k
-
-
 # -- finite models ---------------------------------------------------------------
 
 
@@ -323,7 +315,7 @@ def zeta_infinite(model: str, k, *, order: int) -> QSeries:
             raise AdmissibilityError(f"index {k} must end with an entry >= 2")
         family = "bz"
     elif model == "sz":
-        family, k = "sz", _check_sz_index(k)
+        family, k = "sz", sz_from_pairs(pairs_from_sz(k))
     else:
         raise ParameterError(f"unknown infinite model {model!r}")
     return _model_sum(family, k, 1, order + 1, _SeriesValues, order)

@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .constructor import (
     classical_expansion_word,
@@ -230,24 +231,44 @@ def independence_check(model: str, max_weight: int, N_list, order: int) -> Repor
     return Report("independence", params, status, witness)
 
 
+# -- the identity registry ----------------------------------------------------------
+
+
+class Identity(NamedTuple):
+    """One identity family: its parameters in call order, each named after
+    the `qmzv verify` flag that carries it, and the check they are passed to."""
+
+    params: tuple
+    check: Callable[..., Report]
+
+
+# Each check looks its verifier up by name when it is called, never holding
+# the function object, so a verifier replaced on this module (by a tracer,
+# say) is the one that runs.
+IDENTITIES = {
+    "main-finite": Identity(("eps", "c", "N", "order"), lambda *a: verify_main_finite(*a)),
+    "main-finite-bz": Identity(("c", "N", "order", "q"), lambda *a: verify_main_finite_bz(*a)),
+    "main-infinite": Identity(("side", "c", "order"), lambda *a: verify_main_infinite(*a)),
+    "g-diff": Identity(("eps", "M", "N", "r", "maxdeg", "order"), lambda *a: verify_g_diff(*a)),
+    "recurrence": Identity(
+        ("eps", "M", "N", "r", "maxdeg", "order"), lambda *a: verify_recurrence(*a)
+    ),
+    "b-diff": Identity(("eps", "M", "N", "maxdeg", "order"), lambda *a: verify_b_diff(*a)),
+    "transform": Identity(("which", "l", "k", "order"), lambda *a: verify_transform(*a)),
+    "dual-flat": Identity(("l", "k", "N", "order"), lambda *a: verify_remarks("dual-flat", *a)),
+    "dual-diamond": Identity(
+        ("l", "k", "N", "order"), lambda *a: verify_remarks("dual-diamond", *a)
+    ),
+    "qmsw": Identity(("k", "N", "order"), lambda *a: verify_remarks("qmsw", None, *a)),
+    "classical": Identity(("c", "N"), lambda *a: verify_classical(*a)),
+    "bridge": Identity(("word", "N", "q"), lambda *a: verify_bridge(*a)),
+    "independence": Identity(
+        ("model", "max_weight", "N_list", "order"), lambda *a: independence_check(*a)
+    ),
+}
+
+
 # -- suite --------------------------------------------------------------------------
-
-
-IDENTITIES = (
-    "main-finite",
-    "main-finite-bz",
-    "main-infinite",
-    "g-diff",
-    "recurrence",
-    "b-diff",
-    "transform",
-    "dual-flat",
-    "dual-diamond",
-    "qmsw",
-    "classical",
-    "bridge",
-    "independence",
-)
 
 
 _DEFAULT_Q_SAMPLES = ("2", "1/2", "3", "-2", "5/7")
@@ -303,11 +324,12 @@ def config_from_json(text: str) -> SuiteConfig:
 
 
 def _enumerate_cases(cfg: SuiteConfig):
-    """Fixed-order list of (identity, thunk) pairs covering every family."""
+    """Fixed-order list of (identity, args) pairs covering every family;
+    IDENTITIES[identity].check(*args) runs one case."""
     cases = []
 
-    def add(identity, thunk):
-        cases.append((identity, thunk))
+    def add(identity, *args):
+        cases.append((identity, args))
 
     pairs = pair_indices(cfg.max_weight)
     plains = plain_indices(cfg.max_weight)
@@ -316,36 +338,20 @@ def _enumerate_cases(cfg: SuiteConfig):
     for c in pairs:
         for N in range(1, cfg.max_N + 1):
             for eps in (0, 1):
-                add("main-finite", lambda eps=eps, c=c, N=N: verify_main_finite(eps, c, N, o))
-            add(
-                "main-finite-bz",
-                lambda c=c, N=N: verify_main_finite_bz(c, N, o, cfg.rational_q_samples),
-            )
+                add("main-finite", eps, c, N, o)
+            add("main-finite-bz", c, N, o, cfg.rational_q_samples)
         for side in ("dagger", "bz"):
-            add("main-infinite", lambda side=side, c=c: verify_main_infinite(side, c, o))
+            add("main-infinite", side, c, o)
 
     for eps in (0, 1):
         for N in range(1, cfg.max_N + 1):
             for M in range(0, N):
                 for r in range(0, cfg.max_r + 1):
                     if M >= 1 and r >= 1:
-                        add(
-                            "g-diff",
-                            lambda eps=eps, M=M, N=N, r=r: verify_g_diff(
-                                eps, M, N, r, cfg.maxdeg, o
-                            ),
-                        )
-                    add(
-                        "recurrence",
-                        lambda eps=eps, M=M, N=N, r=r: verify_recurrence(
-                            eps, M, N, r, cfg.maxdeg, o
-                        ),
-                    )
+                        add("g-diff", eps, M, N, r, cfg.maxdeg, o)
+                    add("recurrence", eps, M, N, r, cfg.maxdeg, o)
                 if M >= 1:
-                    add(
-                        "b-diff",
-                        lambda eps=eps, M=M, N=N: verify_b_diff(eps, M, N, cfg.maxdeg, o),
-                    )
+                    add("b-diff", eps, M, N, cfg.maxdeg, o)
 
     for c in pairs:
         if not c:
@@ -353,47 +359,38 @@ def _enumerate_cases(cfg: SuiteConfig):
         if len(c) // 2 > cfg.max_r:
             continue
         l, k = c[0::2], c[1::2]
-        add("transform", lambda l=l, k=k: verify_transform(1, l, k, o))
-        add("transform", lambda l=l, k=k: verify_transform(3, l, k, o))
+        add("transform", 1, l, k, o)
+        add("transform", 3, l, k, o)
     for k in plains:
         if k and len(k) <= cfg.max_r:
-            add("transform", lambda k=k: verify_transform(2, None, k, o))
-            add("transform", lambda k=k: verify_transform(4, None, k, o))
+            add("transform", 2, None, k, o)
+            add("transform", 4, None, k, o)
 
     for c in pairs:
         l, k = c[0::2], c[1::2]
         for N in range(1, cfg.max_N + 1):
-            add(
-                "dual-flat",
-                lambda l=l, k=k, N=N: verify_remarks("dual-flat", l, k, N, o),
-            )
-            add(
-                "dual-diamond",
-                lambda l=l, k=k, N=N: verify_remarks("dual-diamond", l, k, N, o),
-            )
+            add("dual-flat", l, k, N, o)
+            add("dual-diamond", l, k, N, o)
     for k in plains:
         for N in range(1, cfg.max_N + 1):
-            add("qmsw", lambda k=k, N=N: verify_remarks("qmsw", None, k, N, o))
+            add("qmsw", k, N, o)
 
     for c in pairs:
         for N in range(1, cfg.max_N + 1):
-            add("classical", lambda c=c, N=N: verify_classical(c, N))
+            add("classical", c, N)
 
     for k in plains:
         w = word_from_index(k)
         for N in range(1, min(cfg.max_N, 5) + 1):
             for q in cfg.rational_q_samples:
-                add("bridge", lambda w=w, N=N, q=q: verify_bridge(w, N, q))
+                add("bridge", w, N, q)
 
     # Rank evidence needs windows up to 6 and order >= 10 to separate the
     # weight <= 4 words, so this case keeps its own floor under small configs.
     iw = min(cfg.max_weight, 4)
     ilist = tuple(range(1, 7))
     for model in ("dagger_finite", "bz_finite"):
-        add(
-            "independence",
-            lambda model=model: independence_check(model, iw, ilist, max(o, 12)),
-        )
+        add("independence", model, iw, ilist, max(o, 12))
     return cases
 
 
@@ -417,12 +414,12 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
     """
     if filter_identity is not None and filter_identity not in IDENTITIES:
         raise ParameterError(
-            f"unknown identity {filter_identity!r}; choose one of {IDENTITIES}"
+            f"unknown identity {filter_identity!r}; choose one of {tuple(IDENTITIES)}"
         )
     cases = _enumerate_cases(cfg)
     if filter_identity is not None:
-        cases = [(name, thunk) for name, thunk in cases if name == filter_identity]
-    reports = [thunk() for _, thunk in cases]
+        cases = [(name, args) for name, args in cases if name == filter_identity]
+    reports = [IDENTITIES[name].check(*args) for name, args in cases]
 
     by_identity: dict[str, dict] = {}
     for r in reports:

@@ -208,15 +208,15 @@ def element_from_json(data: dict) -> AlgebraElement:
 # -- composition indices -----------------------------------------------------
 
 
-def check_index(k: Sequence[int], name: str = "index") -> tuple:
-    """k as a tuple of ints >= 1; ParameterError naming it otherwise."""
+def check_index(k: Sequence[int], name: str = "index", least: int = 1) -> tuple:
+    """k as a tuple of ints >= least; ParameterError naming it otherwise."""
     try:
         k = tuple(k)
     except TypeError:
-        raise ParameterError(f"{name} must be a sequence of ints >= 1, got {k!r}") from None
+        raise ParameterError(f"{name} must be a sequence of ints >= {least}, got {k!r}") from None
     for e in k:
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"{name} entries must be ints >= 1, got {k}")
+        if not isinstance(e, int) or e < least:
+            raise ParameterError(f"{name} entries must be ints >= {least}, got {k}")
     return k
 
 
@@ -349,15 +349,14 @@ def sz_from_pairs(c: Sequence[int]) -> tuple:
 
 
 def pairs_from_sz(k: Sequence[int]) -> tuple:
-    """Run-length decomposition of a zero-padded index; needs a nonzero tail."""
-    k = tuple(k)
+    """Run-length decomposition of a zero-padded index, whose entries are
+    ints >= 0 and whose last entry is nonzero; the validator of such indices."""
+    k = check_index(k, "zero-padded index", least=0)
     if k and k[-1] == 0:
         raise AdmissibilityError(f"zero-padded index {k} ends with 0")
     out = []
     zeros = 0
     for e in k:
-        if not isinstance(e, int) or e < 0:
-            raise ParameterError(f"entries must be ints >= 0, got {k}")
         if e == 0:
             zeros += 1
         else:

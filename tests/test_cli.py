@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from qmzv.cli import emit_report, main
-from qmzv.report import Report
+from qmzv.report import Report, report_to_json, reports_to_json
 from qmzv.series import series_from_json
+from qmzv.verify import IDENTITIES, SuiteConfig, _enumerate_cases, run_suite
 from qmzv.words import element_from_json, AlgebraElement
 
 
@@ -90,6 +91,63 @@ def test_verify_failure_exits_3(capsys):
                        "--model", "dagger_finite", "--max-weight", "4",
                        "--N-list", "1,2", "--order", "12")
     assert code == 3 and out.startswith("FAIL independence")
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("--identity", "main-finite", "--eps", "0", "--c", "1,2", "--N", "3",
+      "--order", "5", "--M", "2", "--r", "7", "--maxdeg", "9"), ("--M", "--r", "--maxdeg")),
+    (("--identity", "independence", "--model", "bz_finite", "--order", "12",
+      "--c", "9"), ("--c",)),
+])
+def test_verify_refuses_flags_the_identity_does_not_take(capsys, argv, extra):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert all(flag in err for flag in extra)
+
+
+def test_verify_independence_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "independence",
+                       "--model", "bz_finite", "--order", "12", "--json")
+    assert code == 0
+    params = json.loads(out)[0]["params"]
+    assert params["max_weight"] == 4 and params["N_list"] == [1, 2, 3, 4, 5, 6]
+
+
+def test_verify_help_lists_every_identity(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    lines = out.splitlines()
+    for name, identity in IDENTITIES.items():
+        line = next(line.split() for line in lines if line.split()[:1] == [name])
+        assert [flag.strip("[]") for flag in line[1:]] == [
+            "--" + p.replace("_", "-") for p in identity.params
+        ]
+
+
+def _flag_args(identity, args):
+    argv = []
+    for name, value in zip(IDENTITIES[identity].params, args):
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(str(x) for x in value)
+        argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+def test_verify_matches_suite_case_for_every_identity(capsys):
+    small = SuiteConfig(max_weight=3, max_N=3, order=10, maxdeg=2, max_r=1)
+    first = {}
+    for (name, args), report in zip(_enumerate_cases(small), run_suite(small)[0]):
+        if name not in first and all(a != () and a != "" for a in args):
+            first[name] = args, report
+    assert set(first) == set(IDENTITIES)
+    for name, (args, report) in first.items():
+        code, out, err = run(capsys, "verify", "--identity", name,
+                             *_flag_args(name, args), "--json")
+        assert (code, err) == (0, ""), (name, err)
+        assert json.loads(out) == [report_to_json(report)], name
+        assert out == reports_to_json([report]) + "\n", name
 
 
 def test_exit_codes(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmzv.errors import AdmissibilityError, MembershipError, ParameterError
+from qmzv.models import zeta_infinite
 from qmzv.words import (
     BAR1,
     H0,
@@ -24,6 +25,7 @@ from qmzv.words import (
     interleave_pairs,
     pair_weight,
     pairs_from_bar,
+    pairs_from_sz,
     theta,
     weight,
     word_from_index,
@@ -181,6 +183,17 @@ def test_check_index_rejects_non_sequences():
         check_index((1, 0))
     with pytest.raises(ParameterError, match="^pair sequence must be"):
         bar_from_pairs(None)
+
+
+def test_zero_padded_index_has_one_validator():
+    assert pairs_from_sz((0, 0, 2, 1)) == (3, 2, 1, 1)
+    for call in (lambda k: pairs_from_sz(k), lambda k: zeta_infinite("sz", k, order=4)):
+        with pytest.raises(ParameterError, match="^zero-padded index must be a sequence"):
+            call(None)
+        with pytest.raises(AdmissibilityError, match="ends with 0"):
+            call((2, 0))
+        with pytest.raises(ParameterError, match="^zero-padded index entries"):
+            call((1, -1, 2))
 
 
 def test_weights():
