@@ -11,24 +11,43 @@ with s and k fixed per position:
     s = 1       q^n / (1-q^n)^k           dagger entries
     s = k - 1   q^(n(k-1)) / (1-q^n)^k    bz entries
     s = k       q^(nk) / (1-q^n)^k        sz entries
-    s = 0       1 / (1-q^(N-n))           bar entries (k = 1)
+    s = 0       1 / (1-q^(N-n))           bar entries, finite sums (k = 1)
     s = 1       q^(N-n) / (1-q^(N-n))     boundary of the bz models (k = 1)
+    s = 0       1                         bar entries, infinite sums (k = 0)
 
-The infinite dagger sums weight an s = 1 factor by the run count
-C(n-low+l-1, l-1), and zeta_poly replaces q^(s x) by a numerator
-polynomial Q(q^n).
+and zeta_poly replaces q^(s x) by a numerator polynomial Q(q^n).
 
 Every model is a tuple of slots (the factor choices at each position), a
-range [low, top) for the variables, and a value ring; one walker, a suffix
-recursion memoized on (position, lower bound), evaluates them all, so shared
-tails are computed once.  A finite window has low = M + 1 and top = N; an
-infinite sum is the same walker with low = 1 and top = order + 1.  In the
-infinite dagger model each run of l - 1 bar entries before an entry k is one
-run slot: the bar variables carry no factor there, so their weakly tied
-values between the previous variable and n are only counted, by the binomial
-weight.  The value rings are truncated integer/rational q-series, exact
-rationals at a fixed rational q (|q| not 0 or 1), and the classical limits,
-where every factor becomes 1/x^k.
+range [low, top) for the variables, and a value ring.  A finite window has
+low = M + 1 and top = N; an infinite sum has low = 1 and top = order + 1.  In
+the infinite dagger sums a bar entry carries the factor 1 and ties weakly to
+the next variable, so a run of l - 1 bars before an entry k is l - 1
+factor-one slots, which count the C(n - low + l - 1, l - 1) weak chains below
+n one value at a time.
+
+One walker evaluates every model, bottom up.  Write S_j(lo) for the sum over
+the positions j, j+1, ... with lower bound lo.  It telescopes,
+
+    S_j(lo) = S_j(lo + 1) + sum over the choices of f(lo) S_(j+1)(lo + gap),
+
+so the walker fills S_j from lo = top - 1 down to low, from the last slot to
+the first, in one loop with no recursion and no memo, skipping the lo that
+the strict steps before or after slot j leave no room for.  Each
+(slot, choice, n) builds its factor once and makes one product.
+
+The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
+the classical limits, where every factor becomes 1/x^k, and two q-series
+rings.  Every series model except zeta_poly has nonnegative integer
+coefficients, and walks on the packed ring: a truncated series is one Python
+int with `bits` bits per coefficient, so add is an int add and mul one
+bigint multiply (Kronecker substitution), and each stored S_j(lo) is cut back
+to order + 1 digits by a mask.  Carries only move upward, so those digits stay
+exact while no coefficient reaches 2^bits.  The bound that fixes bits:
+coefficientwise q^a/(1-q^m)^k <= 1/(1-q)^k, and each variable takes at most
+top - low values, so no suffix coefficient exceeds
+prod_j (top - low) |slot_j| * C(order + K, K), with K the sum of the largest
+k per slot.  The walk is unpacked to a QSeries once.  zeta_poly has signed
+rational numerators and walks on dense QSeries values.
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -56,7 +75,6 @@ from .words import (
     check_pairs,
     diamond_from_pairs,
     index_from_word,
-    pairs_from_bar,
     pairs_from_sz,
     sz_from_pairs,
 )
@@ -82,11 +100,70 @@ def _check_order(order: int) -> int:
 
 # -- value rings --------------------------------------------------------------
 #
-# A value ring gives the kernel q^a / (1-q^m)^k in its own values, plus the
-# one and zero the walker sums with.
+# A value ring gives the kernel q^a / (1-q^m)^k in its own values, the one and
+# zero the walker sums with, and trunc(), which the walker applies to every
+# suffix value it stores.
+
+
+def _same(value):
+    return value
+
+
+class _PackedValues:
+    """Truncated q-series with nonnegative integer coefficients, packed into
+    one int with `bits` bits per coefficient: the value at q = 2^bits.
+
+    Add is an int add and mul one bigint multiply.  Carries only move upward,
+    so the low order + 1 digits stay exact while no true coefficient reaches
+    2^bits (see _packed_bits); trunc() drops every digit above the order."""
+
+    def __init__(self, order: int, bits: int):
+        self.order = order
+        self.bits = bits
+        self.mask = (1 << (bits * (order + 1))) - 1
+        self.one = 1
+        self.zero = 0
+
+    def kernel(self, a, m, k):
+        # the negative binomial digits C(t+k-1, k-1) at the exponents a + m t
+        if a > self.order:
+            return 0
+        if k == 0:
+            return 1 << (self.bits * a)
+        step = self.bits * m
+        value = 0
+        for t in range((self.order - a) // m, -1, -1):
+            value = (value << step) + comb(t + k - 1, k - 1)
+        return value << (self.bits * a)
+
+    def trunc(self, value):
+        return value & self.mask
+
+    def unpack(self, value) -> QSeries:
+        bits, digit = self.bits, (1 << self.bits) - 1
+        return QSeries(
+            self.order, [(value >> (bits * i)) & digit for i in range(self.order + 1)]
+        )
+
+
+def _packed_bits(slots, low, top, order) -> int:
+    """Bits per coefficient that hold every suffix value of a walk.
+
+    2^(bits - 1) lies above prod_j max(top - low, 1) |slot_j| * C(order + K, K),
+    the bound of the module docstring; the 1 covers an empty range, where the
+    only nonzero suffix is the empty tail, whose value is one."""
+    bound, K = 1, 0
+    for slot in slots:
+        bound *= max(top - low, 1) * len(slot)
+        K += max(choice.k for choice in slot)
+    return (bound * comb(order + K, K)).bit_length() + 1
 
 
 class _SeriesValues:
+    """Dense QSeries values, for signed or rational coefficients."""
+
+    trunc = staticmethod(_same)
+
     def __init__(self, order: int):
         self.order = order
         self.one = QSeries.one(order)
@@ -97,6 +174,8 @@ class _SeriesValues:
 
 
 class _PointValues:
+    trunc = staticmethod(_same)
+
     def __init__(self, q: Fraction):
         self.q = q
         self.one = Fraction(1)
@@ -110,6 +189,7 @@ class _PointValues:
 
 
 class _ClassicalValues:
+    trunc = staticmethod(_same)
     one = Fraction(1)
     zero = Fraction(0)
 
@@ -127,58 +207,49 @@ class _ClassicalValues:
 class _Choice(NamedTuple):
     """The factor q^(s x) / (1-q^x)^k at a variable n, where x = top - n if
     reflected and x = n otherwise.  gap 1 forces the next variable strictly
-    above n, gap 0 allows a tie.  l > 1 weights the factor by the run count
-    C(n-low+l-1, l-1); a poly (c_0, c_1, ...) replaces q^(s x) by the
-    numerator sum of c_t q^(t x)."""
+    above n, gap 0 allows a tie.  A poly (c_0, c_1, ...) replaces q^(s x) by
+    the numerator sum of c_t q^(t x)."""
 
     s: int
     k: int
     gap: int = 1
     reflected: bool = False
-    l: int = 1
     poly: tuple | None = None
 
 
 def _walk(slots, low, top, vals):
-    """Sum over low <= n_1 (<= or <) n_2 ... < top of the slot factors."""
-    r = len(slots)
-    kern = vals.kernel
-    memo = {}
-
-    def suffix(j, low):
-        if j == r:
-            return vals.one
-        key = (j, low)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = vals.zero
-        for n in range(low, top):
-            for s, k, gap, reflected, l, poly in slots[j]:
+    """Sum over low <= n_1 (<= or <) n_2 ... < top of the slot factors, by
+    the bottom-up telescoping of the suffix sums S_j(lo) (module docstring)."""
+    kern, trunc, zero = vals.kernel, vals.trunc, vals.zero
+    width = top - low + 1
+    # strict steps confine n_j to [low + steps before j, top - 1 - steps from j
+    # to the last slot]; above that S_j is zero, below it is never read
+    steps = [min(choice.gap for choice in slot) for slot in slots]
+    below = [vals.one] * width  # S_(j+1)(lo) at below[lo - low]
+    for j in reversed(range(len(slots))):
+        here = [zero] * width  # S_j(top) is the empty sum
+        total = zero
+        last, first = top - 1 - sum(steps[j:-1]), low + sum(steps[:j])
+        for n in range(last, first - 1, -1):
+            for s, k, gap, reflected, poly in slots[j]:
                 x = top - n if reflected else n
                 if poly is None:
                     f = kern(s * x, x, k)
                 else:
                     terms = (c * kern(t * x, x, k) for t, c in enumerate(poly) if c)
-                    f = sum(terms, vals.zero)
-                if l > 1:
-                    f = comb(n - low + l - 1, l - 1) * f
-                total = total + f * suffix(j + 1, n + gap)
-        memo[key] = total
-        return total
-
-    return suffix(0, low)
+                    f = sum(terms, zero)
+                total = total + f * below[n - low + gap]
+            here[n - low] = total = trunc(total)
+        below = here
+    return below[0]
 
 
 _BAR = _Choice(0, 1, gap=0, reflected=True)  # 1/(1-q^(top-n)), weak tie
+_ONE = _Choice(0, 0, gap=0)  # the factor 1, weak tie: a bar of an infinite sum
 
 
-def _dagger_slots(entries):
-    return tuple((_BAR,) if e is BAR1 else (_Choice(1, e),) for e in entries)
-
-
-def _run_slots(pairs):
-    return tuple((_Choice(1, k, l=l),) for l, k in zip(pairs[0::2], pairs[1::2]))
+def _dagger_slots(entries, bar=_BAR):
+    return tuple((bar,) if e is BAR1 else (_Choice(1, e),) for e in entries)
 
 
 def _strict_slots(shift, k):
@@ -214,7 +285,7 @@ def _reflected_slots(k):
 
 _SLOTS = {
     "dagger": _dagger_slots,
-    "dagger-runs": _run_slots,
+    "dagger-inf": partial(_dagger_slots, bar=_ONE),
     "bz": partial(_strict_slots, -1),
     "sz": partial(_strict_slots, 0),
     "diamond-dagger": partial(_diamond_slots, "dagger"),
@@ -225,7 +296,11 @@ _SLOTS = {
 
 @lru_cache(maxsize=None)
 def _model_sum(family, entries, low, top, ring, param):
-    return _walk(_SLOTS[family](entries), low, top, ring(param))
+    slots = _SLOTS[family](entries)
+    if ring is _PackedValues:
+        vals = _PackedValues(param, _packed_bits(slots, low, top, param))
+        return vals.unpack(_walk(slots, low, top, vals))
+    return _walk(slots, low, top, ring(param))
 
 
 # -- index validation ----------------------------------------------------------
@@ -251,14 +326,14 @@ def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
     if not k.is_admissible():
         raise AdmissibilityError(f"{k!r} ends with a bar entry")
     check_window(M, N)
-    return _model_sum("dagger", k.entries, M + 1, N, _SeriesValues, _check_order(order))
+    return _model_sum("dagger", k.entries, M + 1, N, _PackedValues, _check_order(order))
 
 
 def zeta_bz_finite(k, *, N: int, order: int) -> QSeries:
     """Truncated strict sum with factors q^(n(k-1))/(1-q^n)^k; any index."""
     k = check_index(k)
     check_window(0, N)
-    return _model_sum("bz", k, 1, N, _SeriesValues, _check_order(order))
+    return _model_sum("bz", k, 1, N, _PackedValues, _check_order(order))
 
 
 def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -271,7 +346,7 @@ def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> Q
     if variant == "bz" and M != 0:
         raise ParameterError("the bz variant is only defined with M = 0")
     return _model_sum(
-        f"diamond-{variant}", k, M + 1, N, _SeriesValues, _check_order(order)
+        f"diamond-{variant}", k, M + 1, N, _PackedValues, _check_order(order)
     )
 
 
@@ -279,7 +354,7 @@ def zeta_reflected_blocks(k, *, N: int, order: int) -> QSeries:
     """Weak-block sum whose first block variables carry q^(N-n)/(1-q^(N-n))."""
     k = check_index(k)
     check_window(0, N)
-    return _model_sum("reflected", k, 1, N, _SeriesValues, _check_order(order))
+    return _model_sum("reflected", k, 1, N, _PackedValues, _check_order(order))
 
 
 def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -308,7 +383,7 @@ def zeta_infinite(model: str, k, *, order: int) -> QSeries:
         k = _as_bar_index(k)
         if not k.is_admissible():
             raise AdmissibilityError(f"{k!r} ends with a bar entry")
-        family, k = "dagger-runs", pairs_from_bar(k)
+        family, k = "dagger-inf", k.entries
     elif model == "bz":
         k = check_index(k)
         if k and k[-1] < 2:
@@ -318,7 +393,7 @@ def zeta_infinite(model: str, k, *, order: int) -> QSeries:
         family, k = "sz", sz_from_pairs(pairs_from_sz(k))
     else:
         raise ParameterError(f"unknown infinite model {model!r}")
-    return _model_sum(family, k, 1, order + 1, _SeriesValues, order)
+    return _model_sum(family, k, 1, order + 1, _PackedValues, order)
 
 
 def zeta_poly(k, polys, *, order: int) -> QSeries:

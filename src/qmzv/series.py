@@ -109,13 +109,13 @@ class QSeries:
         self._require_same_order(other)
         n = self.order
         res = [0] * (n + 1)
-        b = other.coeffs
+        b = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
         for i, ai in enumerate(self.coeffs):
             if ai:
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        res[i + j] += ai * bj
+                for j, bj in b:
+                    if i + j > n:
+                        break
+                    res[i + j] += ai * bj
         return QSeries(n, res)
 
     def __rmul__(self, other):

@@ -40,6 +40,7 @@ from .transforms import verify_transform
 from .words import (
     BarIndex,
     bar_from_pairs,
+    check_index,
     check_pairs,
     diamond_from_pairs,
     interleave_pairs,
@@ -152,7 +153,7 @@ def verify_remarks(kind: str, l, k, N: int, order: int) -> Report:
     if kind == "qmsw":
         if l is not None:
             raise ParameterError("qmsw takes l = None")
-        k = tuple(k)
+        k = check_index(k)
         params = {"kind": kind, "k": k, "N": N, "order": order}
         lhs = zeta_dagger_finite(BarIndex(k), N=N, order=order)
         rhs = zeta_reflected_blocks(k, N=N, order=order)

@@ -316,7 +316,7 @@ def check_pairs(c: Sequence[int]) -> tuple:
 
 def interleave_pairs(l: Sequence[int], k: Sequence[int]) -> tuple:
     """(l_1, ..., l_r), (k_1, ..., k_r) -> (l_1, k_1, ..., l_r, k_r), checked."""
-    l, k = tuple(l), tuple(k)
+    l, k = check_index(l, "l"), check_index(k, "k")
     if len(l) != len(k):
         raise ParameterError(f"l and k must have equal length, got {l} and {k}")
     return check_pairs(x for pair in zip(l, k) for x in pair)

@@ -6,6 +6,7 @@ directly with itertools and never touch the suffix-memoized walkers under
 test.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -185,19 +186,29 @@ def test_dagger_finite_examples():
     assert s.coeffs == (0, 1, 1, 1, 1, 1, 1)  # q/(1-q)
 
 
+# the index pools of the brute-force oracle grids, shared with the packed-ring
+# tests at the end of this file
+DAGGER_FINITE_POOL = (
+    (),
+    (1,),
+    (2,),
+    (BAR1, 1),
+    (BAR1, 2),
+    (1, 1),
+    (BAR1, BAR1, 1),
+    (2, BAR1, 1),
+    (BAR1, 1, 2),
+)
+BZ_FINITE_POOL = ((1,), (2,), (1, 1), (1, 2), (2, 1), (3, 1, 2))
+DIAMOND_POOL = ((2,), (1, 2), (1, 1, 2), (1, 3), (2, 1, 2), (1, 2, 1, 2))
+REFLECTED_POOL = ((1,), (2,), (3,), (1, 2), (2, 1), (2, 2), (1, 1, 2))
+DAGGER_INF_PAIRS = ((2, 1, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1))
+BZ_INF_POOL = ((1, 2), (2, 2), (3, 2), (2, 3), (1, 3))
+SZ_INF_POOL = ((0, 1), (0, 2), (1, 0, 2), (0, 0, 1), (2, 0, 1), (0, 3))
+
+
 def test_dagger_finite_matches_brute_force():
-    entries_pool = [
-        (),
-        (1,),
-        (2,),
-        (BAR1, 1),
-        (BAR1, 2),
-        (1, 1),
-        (BAR1, BAR1, 1),
-        (2, BAR1, 1),
-        (BAR1, 1, 2),
-    ]
-    for entries, M, N in product(entries_pool, (0, 1, 2), (2, 3, 4)):
+    for entries, M, N in product(DAGGER_FINITE_POOL, (0, 1, 2), (2, 3, 4)):
         if M >= N:
             continue
         got = models.zeta_dagger_finite(BarIndex(entries), M=M, N=N, order=12)
@@ -206,7 +217,7 @@ def test_dagger_finite_matches_brute_force():
 
 def test_bz_finite_matches_brute_force():
     order = 12
-    for k in ((1,), (2,), (1, 1), (1, 2), (2, 1), (3, 1, 2)):
+    for k in BZ_FINITE_POOL:
         for N in (2, 3, 5):
             factors = [lambda n, e=e: q_kernel(n * (e - 1), n, e, order) for e in k]
             want = brute_lattice(factors, [False] * len(k), 1, N, QSeries.one(order))
@@ -215,7 +226,7 @@ def test_bz_finite_matches_brute_force():
 
 def test_diamond_finite_matches_brute_force():
     order = 10
-    for k in ((2,), (1, 2), (1, 1, 2), (1, 3), (2, 1, 2), (1, 2, 1, 2)):
+    for k in DIAMOND_POOL:
         for N in (2, 3, 5):
             kern, one = series_kern(order), QSeries.one(order)
             want = brute_diamond("bz", k, 0, N, kern, one)
@@ -230,7 +241,7 @@ def test_reflected_blocks_matches_brute_force():
     # block j is k_j weakly tied variables: the first carries q^(N-n)/(1-q^(N-n)),
     # the others 1/(1-q^n); consecutive blocks are strictly separated
     order = 12
-    for k in ((1,), (2,), (3,), (1, 2), (2, 1), (2, 2), (1, 1, 2)):
+    for k in REFLECTED_POOL:
         for N in (2, 3, 5):
             factors, ties = [], []
             for kj in k:
@@ -346,7 +357,7 @@ def test_infinite_dagger_two_runs_brute_force():
     # enumerating them point by point checks the binomial run weight
     order = 10
     one = QSeries.one(order)
-    for c in ((2, 1, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)):
+    for c in DAGGER_INF_PAIRS:
         entries = bar_from_pairs(c).entries
         factors = [
             (lambda n: one) if e is BAR1 else (lambda n, e=e: q_kernel(n, n, e, order))
@@ -359,7 +370,7 @@ def test_infinite_dagger_two_runs_brute_force():
 
 def test_infinite_bz_depth_two_brute_force():
     order = 14
-    for k in ((1, 2), (2, 2), (3, 2), (2, 3), (1, 3)):
+    for k in BZ_INF_POOL:
         factors = [lambda n, e=e: q_kernel(n * (e - 1), n, e, order) for e in k]
         want = brute_lattice(factors, [False, False], 1, order + 1, QSeries.one(order))
         assert models.zeta_infinite("bz", k, order=order) == want, k
@@ -368,7 +379,7 @@ def test_infinite_bz_depth_two_brute_force():
 def test_infinite_sz_zero_entries_brute_force():
     # a zero entry carries the factor 1 but keeps the strict step
     order = 10
-    for k in ((0, 1), (0, 2), (1, 0, 2), (0, 0, 1), (2, 0, 1), (0, 3)):
+    for k in SZ_INF_POOL:
         factors = [lambda n, e=e: q_kernel(n * e, n, e, order) for e in k]
         want = brute_lattice(factors, [False] * len(k), 1, order + 1, QSeries.one(order))
         assert models.zeta_infinite("sz", k, order=order) == want, k
@@ -675,3 +686,125 @@ def test_reflected_blocks_matches_dagger():
             lhs = models.zeta_dagger_finite(BarIndex(k), N=N, order=15)
             rhs = models.zeta_reflected_blocks(k, N=N, order=15)
             assert lhs == rhs, (k, N)
+
+
+# -- the packed series ring ---------------------------------------------------------
+
+
+def oracle_walks():
+    """(family, entries, low, top, order) for every walk of the brute-force
+    oracle grids above."""
+    for entries, M, N in product(DAGGER_FINITE_POOL, (0, 1, 2), (2, 3, 4)):
+        if M < N:
+            yield "dagger", entries, M + 1, N, 12
+    for k, N in product(BZ_FINITE_POOL, (2, 3, 5)):
+        yield "bz", k, 1, N, 12
+    for k, N in product(DIAMOND_POOL, (2, 3, 5)):
+        yield "diamond-bz", k, 1, N, 10
+        for M in range(0, min(N, 3)):
+            yield "diamond-dagger", k, M + 1, N, 10
+    for k, N in product(REFLECTED_POOL, (2, 3, 5)):
+        yield "reflected", k, 1, N, 12
+    yield "dagger-inf", (BAR1, 2), 1, 15, 14
+    for c in DAGGER_INF_PAIRS:
+        yield "dagger-inf", bar_from_pairs(c).entries, 1, 11, 10
+    for k in BZ_INF_POOL:
+        yield "bz", k, 1, 15, 14
+    for k in SZ_INF_POOL:
+        yield "sz", k, 1, 11, 10
+
+
+def packed_and_dense(family, entries, low, top, order):
+    """The walk on the packed ring (uncached) and on the dense QSeries ring."""
+    packed = models._model_sum.__wrapped__(
+        family, entries, low, top, models._PackedValues, order
+    )
+    slots = models._SLOTS[family](entries)
+    return packed, models._walk(slots, low, top, models._SeriesValues(order))
+
+
+def brute_suffixes(slots, low, top, order):
+    """{(j, lo): S_j(lo)} for every suffix of a walk, where S_j(lo) sums the
+    slots j, j+1, ... over lo <= n_j (<= or <) ... < top: every choice sequence
+    and every lattice point of each tail is listed, then bucketed by n_j."""
+    def factor(choice, n):
+        x = top - n if choice.reflected else n
+        return q_kernel(choice.s * x, x, choice.k, order)
+
+    out = {}
+    for j in range(len(slots) + 1):
+        tail = slots[j:]
+        by_first = [QSeries.zero(order) for _ in range(low, top + 1)]
+        for choices in product(*tail):
+            ties = [c.gap == 0 for c in choices]
+            for point in combinations_with_replacement(range(low, top), len(tail)):
+                if any(a == b and not t for a, b, t in zip(point, point[1:], ties)):
+                    continue
+                value = QSeries.one(order)
+                for c, n in zip(choices, point):
+                    value = value * factor(c, n)
+                at = point[0] - low if point else top - low  # the empty tail is one
+                by_first[at] = by_first[at] + value
+        total = QSeries.zero(order)
+        for lo in range(top, low - 1, -1):
+            total = total + by_first[lo - low]
+            out[j, lo] = total
+    return out
+
+
+def test_packed_walk_matches_dense_on_oracle_grids():
+    for walk in oracle_walks():
+        packed, dense = packed_and_dense(*walk)
+        assert packed == dense, walk
+
+
+def test_packed_walk_matches_dense_at_order_100():
+    # the deepest eval-high-order strata: infinite dagger with three runs,
+    # xi with r = 3 and l_1 + l_2 + l_3 = 4 (eps 0 and 1), and a window M > 0
+    c = (2, 3, 1, 6, 1, 4)
+    walks = (
+        ("dagger-inf", bar_from_pairs((4, 6, 4, 5, 4, 6)).entries, 1, 101, 100),
+        ("dagger", bar_from_pairs(c).entries, 1, 24, 100),
+        ("diamond-dagger", diamond_from_pairs(c), 1, 24, 100),
+        ("dagger", bar_from_pairs(c).entries, 9, 20, 100),
+    )
+    for walk in walks:
+        packed, dense = packed_and_dense(*walk)
+        assert packed == dense, walk
+
+
+def test_packed_bits_bound_every_suffix():
+    # 2^(bits-1) lies above every coefficient of every suffix value S_j(lo)
+    for walk in oracle_walks():
+        family, entries, low, top, order = walk
+        slots = models._SLOTS[family](entries)
+        bits = models._packed_bits(slots, low, top, order)
+        suffixes = brute_suffixes(slots, low, top, order)
+        assert suffixes[0, low] == packed_and_dense(*walk)[0], walk
+        biggest = max(max(s.coeffs) for s in suffixes.values())
+        assert biggest < 2 ** (bits - 1), walk
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walker_has_no_recursion_cliff():
+    # the walker is one loop, so a walk 400 values long or 12 slots deep
+    # runs with the recursion limit a few frames above the caller
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        deep = models.zeta_infinite("dagger", BarIndex((2, 3, 2)), order=400)
+        wide = models.zeta_bz_finite((1,) * 11 + (2,), N=60, order=40)
+    finally:
+        sys.setrecursionlimit(limit)
+    slots = models._SLOTS["dagger-inf"]((2, 3, 2))
+    assert deep == models._walk(slots, 1, 401, models._SeriesValues(400))
+    # the lowest term comes from the one point n_j = j alone
+    assert wide.valuation() == 12 and wide.coeff(12) == 1
+    slots = models._SLOTS["bz"]((1,) * 11 + (2,))
+    assert wide == models._walk(slots, 1, 60, models._SeriesValues(40))

@@ -61,6 +61,11 @@ def test_remarks_and_classical():
         verify_remarks("qmsw", (1,), (2, 1), 3, 15)
     with pytest.raises(ParameterError):
         verify_remarks("nope", (1,), (1,), 3, 15)
+    # a missing index is refused by the index validator, not by tuple()
+    for args in (("dual-flat", None, (1,)), ("dual-diamond", (1,), None),
+                 ("qmsw", None, None)):
+        with pytest.raises(ParameterError, match="must be a sequence"):
+            verify_remarks(*args, 3, 5)
     assert verify_classical((2, 1), 4).passed
     assert verify_classical((), 2).passed
 

@@ -164,6 +164,10 @@ def test_pair_codec_examples():
         interleave_pairs((1, 2), (1,))
     with pytest.raises(ParameterError):
         interleave_pairs((0,), (1,))
+    with pytest.raises(ParameterError, match="^l must be a sequence"):
+        interleave_pairs(None, (1,))
+    with pytest.raises(ParameterError, match="^k must be a sequence"):
+        interleave_pairs((1,), 5)
 
 
 def test_pair_codec_round_trip():
