@@ -1,12 +1,32 @@
 """Truncated multivariate generating functions over exact q-series.
 
 A MultiPoly is a polynomial in formal variables u_1..u_nvars whose
-coefficients are QSeries, truncated so that every variable exponent stays at
-or below maxdeg.  Products drop anything past the cap, so a MultiPoly is
-always the image of the corresponding exact series under "forget variable
+coefficients are integer q-series, truncated so that every variable exponent
+stays at or below maxdeg.  Products drop anything past the cap, so a MultiPoly
+is always the image of the corresponding exact series under "forget variable
 exponents above maxdeg and q-powers above order"; identities checked
 coefficientwise on truncations are therefore exact statements about the
 range they cover.
+
+Each coefficient is stored packed, as one Python int: the series evaluated
+at q = 2^bits and reduced mod 2^(bits (order+1)).  That map is a ring
+homomorphism, so add, negate and multiply are one int add, negate or multiply
+followed by a mask (Kronecker substitution with signed digits).  Every
+MultiPoly carries mass, an int bound on the sum of |c| over all of its
+q-coefficients: the L1 norm when built from QSeries, mass_a + mass_b for a
+sum, mass_a * mass_b for a product (truncation only drops terms) and
+|c| * mass for an integer scalar c.  bits is mass.bit_length() + 2 rounded up
+to a multiple of 32, and an operation whose mass outgrows its operands' bits
+repacks them wider first.  So every coefficient lies below 2^(bits-2) in
+absolute value and decodes uniquely as balanced base-2^bits digits; a zero
+residue is the zero series.  Two polynomials are equal when their residues
+agree at a width that also bounds the difference, mass_lhs + mass_rhs, so
+equality never decodes; compare_polys decodes only to name a mismatch.
+
+Exponent tuples are stored as codes, their digits in radix 2 maxdeg + 1 with
+the first variable most significant.  Adding two codes adds the tuples
+without a carry, so a product term is kept exactly when its code is in the
+table of tuples within the cap, and codes sort as their tuples do.
 
 xi_genfun packs the nested-sum values into one MultiPoly: the coefficient at
 exponent tuple e is xi(eps, e+1) for the same window.  Odd-position variables
@@ -25,24 +45,82 @@ from itertools import product
 
 from .combinat import eo_count, kappa, tilings
 from .errors import OrderMismatchError, ParameterError
-from .models import check_window, xi_value
+from .models import check_order, check_window, xi_value
 from .report import Report
 from .series import QSeries, bracket, inv_bracket_pow, kernel
 
 
-class MultiPoly:
-    """Polynomial with QSeries coefficients, capped at maxdeg per variable."""
+# -- packed coefficients ---------------------------------------------------------
 
-    __slots__ = ("nvars", "maxdeg", "order", "_terms")
+
+def _bits_for(mass: int) -> int:
+    """Bits per coefficient for a polynomial of the given mass: a multiple
+    of 32 (so digits are whole bytes and widths change rarely) at least
+    mass.bit_length() + 2."""
+    return -(-(mass.bit_length() + 2) // 32) * 32
+
+
+@lru_cache(maxsize=None)
+def _layout(bits: int, order: int):
+    """(bytes per digit, half digit, residue mask, half in every digit)."""
+    width, half = bits // 8, 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
+    return width, half, (1 << (bits * (order + 1))) - 1, offset
+
+
+def _series_mass(s: QSeries) -> int:
+    """Sum of |c| over the coefficients of s, which must all be ints."""
+    mass = sum(map(abs, s.coeffs))  # an int exactly when every coefficient is one
+    if not isinstance(mass, int):
+        raise ParameterError(f"{s!r} has a coefficient that is not an integer")
+    return mass
+
+
+def _encode(coeffs, bits: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value & _layout(bits, len(coeffs) - 1)[2]
+
+
+def _decode(residue: int, bits: int, order: int) -> list:
+    # adding half to every digit makes them all nonnegative, so no borrows
+    width, half, mask, offset = _layout(bits, order)
+    raw = ((residue + offset) & mask).to_bytes(width * (order + 1), "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, len(raw), width)
+    ]
+
+
+def _code(e, radix: int) -> int:
+    code = 0
+    for x in e:
+        code = code * radix + x
+    return code
+
+
+@lru_cache(maxsize=None)
+def _exponents(nvars: int, maxdeg: int) -> dict:
+    """code -> exponent tuple, for every tuple within the cap."""
+    radix = 2 * maxdeg + 1
+    return {_code(e, radix): e for e in product(range(maxdeg + 1), repeat=nvars)}
+
+
+class MultiPoly:
+    """Polynomial with integer QSeries coefficients, capped at maxdeg per
+    variable, stored as packed residues (module docstring)."""
+
+    __slots__ = ("nvars", "maxdeg", "order", "bits", "mass", "_terms")
 
     def __init__(self, nvars: int, maxdeg: int, order: int, terms=None):
         if not isinstance(nvars, int) or nvars < 0:
             raise ParameterError(f"nvars must be an int >= 0, got {nvars!r}")
         if not isinstance(maxdeg, int) or maxdeg < 0:
             raise ParameterError(f"maxdeg must be an int >= 0, got {maxdeg!r}")
-        if not isinstance(order, int) or order < 0:
-            raise ParameterError(f"order must be an int >= 0, got {order!r}")
-        clean: dict[tuple, QSeries] = {}
+        check_order(order)
+        radix = 2 * maxdeg + 1
+        clean: dict[int, QSeries] = {}
         for e, s in (terms or {}).items():
             e = tuple(e)
             if len(e) != nvars or any(not isinstance(x, int) or x < 0 for x in e):
@@ -55,12 +133,22 @@ class MultiPoly:
                 raise OrderMismatchError(
                     f"coefficient at {e} has order {s.order}, expected {order}"
                 )
-            if not s.is_zero():
-                clean[e] = s
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "maxdeg", maxdeg)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", clean)
+            clean[_code(e, radix)] = s
+        mass = sum(map(_series_mass, clean.values()))
+        bits = _bits_for(mass)
+        packed = {code: r for code, s in clean.items() if (r := _encode(s.coeffs, bits))}
+        self._set(nvars, maxdeg, order, bits, mass, packed)
+
+    def _set(self, nvars, maxdeg, order, bits, mass, terms):
+        for name, value in zip(self.__slots__, (nvars, maxdeg, order, bits, mass, terms)):
+            object.__setattr__(self, name, value)
+
+    def _make(self, bits: int, mass: int, terms: dict, nvars=None) -> "MultiPoly":
+        """A polynomial of this shape (or nvars) from trusted packed terms."""
+        out = object.__new__(MultiPoly)
+        nv = self.nvars if nvars is None else nvars
+        out._set(nv, self.maxdeg, self.order, bits, mass, terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -73,15 +161,32 @@ class MultiPoly:
     def one(cls, nvars: int, maxdeg: int, order: int) -> "MultiPoly":
         return cls(nvars, maxdeg, order, {(0,) * nvars: QSeries.one(order)})
 
+    def _at(self, bits: int) -> dict:
+        """The packed terms at a width of at least self.bits."""
+        if bits == self.bits:
+            return self._terms
+        order = self.order
+        return {
+            code: _encode(_decode(r, self.bits, order), bits)
+            for code, r in self._terms.items()
+        }
+
+    def _series(self, residue: int) -> QSeries:
+        return QSeries(self.order, _decode(residue, self.bits, self.order))
+
     def coeff(self, e) -> QSeries:
         e = tuple(e)
         if len(e) != self.nvars:
             raise ParameterError(f"exponent {e} has wrong arity for nvars={self.nvars}")
-        return self._terms.get(e, QSeries.zero(self.order))
+        if any(not 0 <= x <= self.maxdeg for x in e):
+            return QSeries.zero(self.order)
+        residue = self._terms.get(_code(e, 2 * self.maxdeg + 1))
+        return QSeries.zero(self.order) if residue is None else self._series(residue)
 
     def terms(self):
         """Pairs (exponent tuple, QSeries) in sorted exponent order."""
-        return tuple(sorted(self._terms.items()))
+        table = _exponents(self.nvars, self.maxdeg)
+        return tuple((table[c], self._series(r)) for c, r in sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -97,45 +202,74 @@ class MultiPoly:
                 f"vs {(other.nvars, other.maxdeg, other.order)}"
             )
 
+    def _widths(self, other: "MultiPoly", mass: int):
+        """Both operands' terms at one width that holds the result's mass."""
+        bits = max(self.bits, other.bits, _bits_for(mass))
+        return bits, self._at(bits), other._at(bits)
+
+    def _plus(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        self._require_compatible(other)
+        mass = self.mass + other.mass
+        bits, a, b = self._widths(other, mass)
+        mask = _layout(bits, self.order)[2]
+        merged = dict(a)
+        for code, r in b.items():
+            value = (merged.get(code, 0) + sign * r) & mask
+            if value:
+                merged[code] = value
+            else:
+                merged.pop(code, None)
+        return self._make(bits, mass, merged)
+
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._require_compatible(other)
-        merged = dict(self._terms)
-        for e, s in other._terms.items():
-            merged[e] = merged[e] + s if e in merged else s
-        return MultiPoly(self.nvars, self.maxdeg, self.order, merged)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return MultiPoly(
-            self.nvars, self.maxdeg, self.order, {e: -s for e, s in self._terms.items()}
-        )
+        mask = _layout(self.bits, self.order)[2]
+        return self._make(self.bits, self.mass, {c: -r & mask for c, r in self._terms.items()})
+
+    def _scaled(self, factor: int, mass: int, bits: int) -> "MultiPoly":
+        """Every term times factor: an int, or a series packed at bits."""
+        mask = _layout(bits, self.order)[2]
+        terms = {c: v for c, r in self._at(bits).items() if (v := r * factor & mask)}
+        return self._make(bits, mass, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSeries)):
-            return MultiPoly(
-                self.nvars,
-                self.maxdeg,
-                self.order,
-                {e: s * other for e, s in self._terms.items()},
-            )
+        if isinstance(other, QSeries):
+            if other.order != self.order:
+                raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
+            series_mass = _series_mass(other)
+            mass = self.mass * series_mass
+            # the width must hold the packed factor too, even when self is zero
+            bits = max(self.bits, _bits_for(max(mass, series_mass)))
+            return self._scaled(_encode(other.coeffs, bits), mass, bits)
+        if isinstance(other, int):
+            mass = self.mass * abs(other)
+            return self._scaled(other, mass, max(self.bits, _bits_for(mass)))
+        if isinstance(other, Fraction):
+            raise ParameterError(f"MultiPoly scalars must be integers, got {other!r}")
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_compatible(other)
-        out: dict[tuple, QSeries] = {}
-        for e1, s1 in self._terms.items():
-            for e2, s2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x > self.maxdeg for x in e):
-                    continue
-                prod = s1 * s2
-                out[e] = out[e] + prod if e in out else prod
-        return MultiPoly(self.nvars, self.maxdeg, self.order, out)
+        mass = self.mass * other.mass
+        bits, a, b = self._widths(other, mass)
+        valid = _exponents(self.nvars, self.maxdeg)
+        out: dict[int, int] = {}
+        get = out.get
+        for c1, r1 in a.items():
+            for c2, r2 in b.items():
+                c = c1 + c2
+                if c in valid:
+                    out[c] = get(c, 0) + r1 * r2
+        mask = _layout(bits, self.order)[2]
+        return self._make(bits, mass, {c: v for c, r in out.items() if (v := r & mask)})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QSeries)):
@@ -149,22 +283,22 @@ class MultiPoly:
             raise ParameterError(f"positions {positions} must be {self.nvars} distinct slots")
         if any(not isinstance(p, int) or not 0 <= p < nvars_new for p in positions):
             raise ParameterError(f"positions {positions} out of range for nvars={nvars_new}")
-        out: dict[tuple, QSeries] = {}
-        for e, s in self._terms.items():
+        table, radix = _exponents(self.nvars, self.maxdeg), 2 * self.maxdeg + 1
+        out: dict[int, int] = {}
+        for c, r in self._terms.items():
             new_e = [0] * nvars_new
-            for j, x in enumerate(e):
+            for j, x in enumerate(table[c]):
                 new_e[positions[j]] = x
-            out[tuple(new_e)] = s
-        return MultiPoly(nvars_new, self.maxdeg, self.order, out)
+            out[_code(new_e, radix)] = r
+        return self._make(self.bits, self.mass, out, nvars=nvars_new)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (
-            (self.nvars, self.maxdeg, self.order)
-            == (other.nvars, other.maxdeg, other.order)
-            and self._terms == other._terms
-        )
+        if (self.nvars, self.maxdeg, self.order) != (other.nvars, other.maxdeg, other.order):
+            return False
+        _, a, b = self._widths(other, self.mass + other.mass)
+        return a == b
 
     def __hash__(self):
         return hash((self.nvars, self.maxdeg, self.order, tuple(sorted(self._terms))))
@@ -278,20 +412,15 @@ def compare_polys(identity: str, params: dict, lhs: MultiPoly, rhs: MultiPoly) -
             "rhs": (rhs.nvars, rhs.maxdeg, rhs.order),
         }
         return Report(identity, params, "fail", witness)
-    exps = sorted(set(dict(lhs.terms())) | set(dict(rhs.terms())))
-    for e in exps:
-        a, b = lhs.coeff(e), rhs.coeff(e)
-        if a != b:
-            for m in range(lhs.order + 1):
-                if a.coeffs[m] != b.coeffs[m]:
-                    witness = {
-                        "exponent": list(e),
-                        "q_power": m,
-                        "lhs": str(a.coeffs[m]),
-                        "rhs": str(b.coeffs[m]),
-                    }
-                    return Report(identity, params, "fail", witness)
-    return Report(identity, params, "pass")
+    if lhs == rhs:
+        return Report(identity, params, "pass")
+    a, b = dict(lhs.terms()), dict(rhs.terms())
+    zero = QSeries.zero(lhs.order)
+    e = next(e for e in sorted(a.keys() | b.keys()) if a.get(e, zero) != b.get(e, zero))
+    x, y = a.get(e, zero).coeffs, b.get(e, zero).coeffs
+    m = next(m for m in range(lhs.order + 1) if x[m] != y[m])
+    witness = {"exponent": list(e), "q_power": m, "lhs": str(x[m]), "rhs": str(y[m])}
+    return Report(identity, params, "fail", witness)
 
 
 def verify_b_diff(eps: int, M: int, N: int, maxdeg: int, order: int) -> Report:

@@ -92,8 +92,8 @@ def check_q_sample(q) -> Fraction:
     return q
 
 
-def _check_order(order: int) -> int:
-    if not isinstance(order, int) or order < 0:
+def check_order(order: int) -> int:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise ParameterError(f"truncation order must be an int >= 0, got {order!r}")
     return order
 
@@ -307,7 +307,7 @@ def _model_sum(family, entries, low, top, ring, param):
 
 
 def _as_bar_index(k) -> BarIndex:
-    return k if isinstance(k, BarIndex) else BarIndex(tuple(k))
+    return k if isinstance(k, BarIndex) else BarIndex(k)
 
 
 def _check_admissible_plain(k) -> tuple:
@@ -326,14 +326,14 @@ def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
     if not k.is_admissible():
         raise AdmissibilityError(f"{k!r} ends with a bar entry")
     check_window(M, N)
-    return _model_sum("dagger", k.entries, M + 1, N, _PackedValues, _check_order(order))
+    return _model_sum("dagger", k.entries, M + 1, N, _PackedValues, check_order(order))
 
 
 def zeta_bz_finite(k, *, N: int, order: int) -> QSeries:
     """Truncated strict sum with factors q^(n(k-1))/(1-q^n)^k; any index."""
     k = check_index(k)
     check_window(0, N)
-    return _model_sum("bz", k, 1, N, _PackedValues, _check_order(order))
+    return _model_sum("bz", k, 1, N, _PackedValues, check_order(order))
 
 
 def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -346,7 +346,7 @@ def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> Q
     if variant == "bz" and M != 0:
         raise ParameterError("the bz variant is only defined with M = 0")
     return _model_sum(
-        f"diamond-{variant}", k, M + 1, N, _PackedValues, _check_order(order)
+        f"diamond-{variant}", k, M + 1, N, _PackedValues, check_order(order)
     )
 
 
@@ -354,7 +354,7 @@ def zeta_reflected_blocks(k, *, N: int, order: int) -> QSeries:
     """Weak-block sum whose first block variables carry q^(N-n)/(1-q^(N-n))."""
     k = check_index(k)
     check_window(0, N)
-    return _model_sum("reflected", k, 1, N, _PackedValues, _check_order(order))
+    return _model_sum("reflected", k, 1, N, _PackedValues, check_order(order))
 
 
 def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -378,7 +378,7 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
 
 def zeta_infinite(model: str, k, *, order: int) -> QSeries:
     """Truncated value of the untruncated sum; the index must be admissible."""
-    _check_order(order)
+    check_order(order)
     if model == "dagger":
         k = _as_bar_index(k)
         if not k.is_admissible():
@@ -404,12 +404,17 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
     first, with int or Fraction entries.
     """
     k = check_index(k)
-    _check_order(order)
+    check_order(order)
+    try:
+        polys = [tuple(poly) for poly in polys]
+    except TypeError:
+        raise ParameterError(
+            f"polys must be a sequence of coefficient sequences, got {polys!r}"
+        ) from None
     if len(polys) != len(k):
         raise ParameterError(f"need {len(k)} polynomials, got {len(polys)}")
     coeffs = []
-    for j, poly in enumerate(polys):
-        cs = tuple(poly)
+    for j, cs in enumerate(polys):
         for c in cs:
             if not isinstance(c, (int, Fraction)):
                 raise ParameterError(f"polynomial coefficient {c!r} is not exact")
@@ -427,29 +432,31 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
 # -- classical limits -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def classical_zeta(k, N: int) -> Fraction:
     """Strict truncated harmonic sum of 1/(n_1^(k_1) ... n_r^(k_r))."""
     k = check_index(k)
     check_window(0, N)
-    return _walk(_SLOTS["bz"](k), 1, N, _ClassicalValues())
+    return _classical_sum("bz", k, N)
 
 
-@lru_cache(maxsize=None)
 def classical_zeta_blocks(c, N: int) -> Fraction:
     """Block sums with l_j - 1 leading factors 1/(N-n) per block."""
     c = check_pairs(c)
     check_window(0, N)
-    entries = bar_from_pairs(c).entries
-    return _walk(_dagger_slots(entries), 1, N, _ClassicalValues())
+    return _classical_sum("dagger", bar_from_pairs(c).entries, N)
 
 
-@lru_cache(maxsize=None)
 def classical_zeta_diamond(k, N: int) -> Fraction:
     """Classical boundary-augmented sum; ones may flip to 1/(N-n) with a tie."""
     k = _check_admissible_plain(k)
     check_window(0, N)
-    return _walk(_diamond_slots("dagger", k), 1, N, _ClassicalValues())
+    return _classical_sum("diamond-dagger", k, N)
+
+
+@lru_cache(maxsize=None)
+def _classical_sum(family, entries, N):
+    # cached on validated tuples only, so any sequence the callers accept works
+    return _walk(_SLOTS[family](entries), 1, N, _ClassicalValues())
 
 
 # -- linear extension over words ---------------------------------------------------

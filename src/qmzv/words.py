@@ -248,6 +248,10 @@ BAR1 = _BarEntry.BAR1
 
 
 def _check_bar_entries(entries: Iterable) -> tuple:
+    try:
+        entries = tuple(entries)
+    except TypeError:
+        raise ParameterError(f"a bar index must be a sequence, got {entries!r}") from None
     out = []
     for e in entries:
         if e is BAR1:

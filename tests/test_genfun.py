@@ -1,5 +1,9 @@
 """Tests for truncated multivariate generating functions."""
 
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from qmzv.errors import OrderMismatchError, ParameterError
@@ -35,6 +39,18 @@ def test_multipoly_validation():
         MultiPoly(1, 1, ORDER, {(0,): QSeries.one(ORDER + 1)})
     with pytest.raises(ParameterError):
         MultiPoly(-1, 1, ORDER)
+    with pytest.raises(ParameterError):
+        MultiPoly(1, 1, True)
+    half = QSeries(ORDER, [Fraction(1, 2)] + [0] * ORDER)
+    with pytest.raises(ParameterError):
+        MultiPoly(1, 1, ORDER, {(0,): half})
+    p = MultiPoly.one(1, 1, ORDER)
+    with pytest.raises(ParameterError):
+        p * Fraction(1, 2)
+    with pytest.raises(ParameterError):
+        Fraction(1, 2) * p
+    with pytest.raises(ParameterError):
+        p * half
 
 
 def test_multipoly_zero_coefficients_dropped():
@@ -203,3 +219,120 @@ def test_compare_polys_witnesses_first_mismatch():
     shape = compare_polys("probe", {}, short, wide)
     assert not shape.passed
     assert shape.witness["reason"] == "shape mismatch"
+
+
+# -- packed MultiPoly against a dense reference ---------------------------------
+#
+# The reference keeps {exponent tuple: QSeries} and multiplies term by term,
+# dropping exponents past maxdeg, exactly as the unpacked layer used to.
+
+ORACLE_ORDER = 6
+# magnitudes on both sides of every 32-bit width step, and far past 2^70
+ORACLE_BIT_LENGTHS = (1, 3, 8, 30, 31, 32, 33, 62, 63, 64, 65, 71, 80, 94, 95, 96, 97)
+
+
+def dense_clean(terms):
+    return {e: s for e, s in terms.items() if not s.is_zero()}
+
+
+def dense_add(a, b):
+    out = dict(a)
+    for e, s in b.items():
+        out[e] = out[e] + s if e in out else s
+    return dense_clean(out)
+
+
+def dense_scale(a, factor):
+    return dense_clean({e: s * factor for e, s in a.items()})
+
+
+def dense_mul(a, b, maxdeg):
+    out = {}
+    for (e1, s1), (e2, s2) in product(a.items(), b.items()):
+        e = tuple(x + y for x, y in zip(e1, e2))
+        if max(e, default=0) <= maxdeg:
+            out[e] = out[e] + s1 * s2 if e in out else s1 * s2
+    return dense_clean(out)
+
+
+def dense_embed(a, nvars_new, positions):
+    out = {}
+    for e, s in a.items():
+        new_e = [0] * nvars_new
+        for j, x in enumerate(e):
+            new_e[positions[j]] = x
+        out[tuple(new_e)] = s
+    return out
+
+
+def random_coeff(rng):
+    magnitude = rng.getrandbits(rng.choice(ORACLE_BIT_LENGTHS)) | 1
+    return rng.choice((1, -1)) * magnitude
+
+
+def random_series(rng, order=ORACLE_ORDER):
+    return QSeries(order, [random_coeff(rng) if rng.random() < 0.6 else 0 for _ in range(order + 1)])
+
+
+def random_terms(rng, nvars, maxdeg, order=ORACLE_ORDER):
+    exps = list(product(range(maxdeg + 1), repeat=nvars))
+    picked = rng.sample(exps, rng.randint(0, min(len(exps), 5)))
+    # a zero series among the terms must be dropped, as in the reference
+    return {e: random_series(rng, order) if i else QSeries.zero(order) for i, e in enumerate(picked)}
+
+
+def assert_matches(poly, dense):
+    dense = dense_clean(dense)
+    assert dict(poly.terms()) == dense
+    assert [e for e, _ in poly.terms()] == sorted(dense)
+    zero = QSeries.zero(poly.order)
+    for e in product(range(poly.maxdeg + 1), repeat=poly.nvars):
+        assert poly.coeff(e) == dense.get(e, zero), e
+    assert poly == MultiPoly(poly.nvars, poly.maxdeg, poly.order, dense)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_multipoly_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    widths = set()
+    for nvars in range(5):
+        maxdeg = rng.randint(0, 2)
+        ta, tb = (random_terms(rng, nvars, maxdeg) for _ in range(2))
+        a = MultiPoly(nvars, maxdeg, ORACLE_ORDER, ta)
+        b = MultiPoly(nvars, maxdeg, ORACLE_ORDER, tb)
+        ta, tb = dense_clean(ta), dense_clean(tb)
+        s, n = random_series(rng), random_coeff(rng)
+        minus_b = dense_scale(tb, -1)
+        results = [
+            (a, ta),
+            (a + b, dense_add(ta, tb)),
+            (a - b, dense_add(ta, minus_b)),
+            (-b, minus_b),
+            (a * b, dense_mul(ta, tb, maxdeg)),
+            (a * s, dense_scale(ta, s)),
+            (s * a, dense_scale(ta, s)),
+            (a * n, dense_scale(ta, n)),
+            (n * b, dense_scale(tb, n)),
+            (a * 0, {}),
+            ((a * b) * (a - b), dense_mul(dense_mul(ta, tb, maxdeg), dense_add(ta, minus_b), maxdeg)),
+            (a - a, {}),
+        ]
+        for poly, dense in results:
+            assert_matches(poly, dense)
+            widths.add(poly.bits)
+        positions = tuple(rng.sample(range(nvars + 1), nvars))
+        assert_matches(a.embed(nvars + 1, positions), dense_embed(ta, nvars + 1, positions))
+        assert (a == b) == (ta == tb)
+        if ta:
+            # a one-unit change in the top q-power of one term is seen
+            e = min(ta)
+            bump = dict(ta)
+            bump[e] = ta[e] + QSeries.monomial(ORACLE_ORDER, ORACLE_ORDER)
+            assert a != MultiPoly(nvars, maxdeg, ORACLE_ORDER, bump)
+    assert max(widths) > 96
+
+
+def test_large_order_identities_need_wide_words():
+    assert xi_genfun(1, 0, 9, 2, 2, 100).bits > 32
+    assert verify_recurrence(1, 0, 8, 2, 2, 100).passed
+    assert verify_g_diff(1, 2, 8, 2, 2, 100).passed

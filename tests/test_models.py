@@ -259,6 +259,8 @@ def test_dagger_finite_rejects_bad_input():
         models.zeta_dagger_finite((1,), N=2, M=2, order=5)
     with pytest.raises(ParameterError):
         models.zeta_dagger_finite((1,), N=0, order=5)
+    with pytest.raises(ParameterError):
+        models.zeta_dagger_finite(None, N=3, order=5)
 
 
 def test_bz_finite_examples():
@@ -308,6 +310,16 @@ def test_xi_dispatch():
     assert s.coeffs == tuple(range(11))
     with pytest.raises(ParameterError):
         models.xi_value(2, (1, 1), N=2, order=5)
+
+
+def test_order_refuses_booleans():
+    # bool is an int subclass; order=True used to give QSeries(True, 'q')
+    with pytest.raises(ParameterError):
+        models.zeta_infinite("bz", (2,), order=True)
+    with pytest.raises(ParameterError):
+        models.zeta_bz_finite((2,), N=3, order=True)
+    with pytest.raises(ParameterError):
+        models.xi_value(0, (1, 2), N=3, order=True)
 
 
 # -- infinite models ---------------------------------------------------------------
@@ -417,6 +429,8 @@ def test_poly_model():
         models.zeta_poly((1,), [(0, 1, 1)], order=6)  # degree 2 > k = 1
     with pytest.raises(ParameterError):
         models.zeta_poly((1, 2), [(0, 1)], order=6)  # arity mismatch
+    with pytest.raises(ParameterError):
+        models.zeta_poly((1,), None, order=5)
 
 
 def test_poly_model_two_rows():
@@ -477,6 +491,13 @@ def test_classical_fixtures():
     assert models.classical_zeta((2,), 3) == Fraction(5, 4)
 
 
+def test_classical_takes_any_sequence():
+    # the caches key on the validated tuple, so lists are not unhashable
+    assert models.classical_zeta([2, 3], 5) == models.classical_zeta((2, 3), 5)
+    assert models.classical_zeta_blocks([2, 1], 4) == models.classical_zeta_blocks((2, 1), 4)
+    assert models.classical_zeta_diamond([1, 2], 4) == models.classical_zeta_diamond((1, 2), 4)
+
+
 def test_classical_against_brute_force():
     for c in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1, 1), (3, 1), (1, 1, 2, 1)]:
         for N in range(1, 7):
@@ -503,6 +524,8 @@ def test_eval_at_rational_q_examples():
     for bad in (0, 1, -1):
         with pytest.raises(ParameterError):
             models.eval_at_rational_q("dagger", (1,), bad, N=2)
+    with pytest.raises(ParameterError):
+        models.eval_at_rational_q("dagger", None, 2, N=3)
 
 
 def test_eval_at_rational_q_matches_series():
