@@ -62,10 +62,6 @@ def tilings(r: int):
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
 
-def is_tiling(S, r: int) -> bool:
-    return _check_subset(S) in set(tilings(r))
-
-
 def eo_count(S) -> int:
     """Number of even-odd dominoes {2j, 2j+1} contained in S."""
     s = set(_check_subset(S))
@@ -153,11 +149,3 @@ def index_surgery(c: Sequence[int], A, B) -> tuple:
         for p, e in enumerate(c, start=1)
         if p not in set(a)
     )
-
-
-def delete_positions(seq: Sequence, A) -> tuple:
-    """Drop the 1-based positions in A from a sequence."""
-    a = set(_check_subset(A))
-    if a and max(a) > len(seq):
-        raise ParameterError(f"position {max(a)} outside sequence of length {len(seq)}")
-    return tuple(e for p, e in enumerate(seq, start=1) if p not in a)

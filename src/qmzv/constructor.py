@@ -17,8 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import ParameterError
-from .words import AlgebraElement, check_pairs, theta
+from .words import AlgebraElement, check_eps, check_pairs, theta
 from .combinat import (
     alpha,
     beta,
@@ -71,8 +70,7 @@ def _signed_range(a: int, b: int) -> AlgebraElement:
 def expansion_word(eps: int, c) -> AlgebraElement:
     """The recursive expansion; eps=0 targets the bar model, eps=1 the
     boundary-augmented one."""
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    check_eps(eps)
     c = check_pairs(c)
     key = (eps, c)
     cached = _cache.get(key)
@@ -131,8 +129,7 @@ def bz_word(c) -> AlgebraElement:
 def classical_expansion_word(eps: int, c) -> AlgebraElement:
     """Top-weight limit of expansion_word: only domino-free B (and, in the
     deletion term, tilings A with domino-free renumbered B) survive."""
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    check_eps(eps)
     c = check_pairs(c)
     key = ("classical", eps, c)
     cached = _cache.get(key)
@@ -171,11 +168,3 @@ def classical_expansion_word(eps: int, c) -> AlgebraElement:
 
     _cache[key] = total
     return total
-
-
-def classical_dagger_word(c) -> AlgebraElement:
-    return classical_expansion_word(0, c)
-
-
-def classical_bz_word(c) -> AlgebraElement:
-    return classical_expansion_word(1, c)

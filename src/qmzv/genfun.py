@@ -48,6 +48,7 @@ from .errors import OrderMismatchError, ParameterError
 from .models import check_order, check_window, xi_value
 from .report import Report
 from .series import QSeries, bracket, inv_bracket_pow, kernel
+from .words import check_count, check_eps
 
 
 # -- packed coefficients ---------------------------------------------------------
@@ -107,6 +108,13 @@ def _exponents(nvars: int, maxdeg: int) -> dict:
     return {_code(e, radix): e for e in product(range(maxdeg + 1), repeat=nvars)}
 
 
+def _pack(series: dict) -> tuple:
+    """(bits, mass, packed terms) for {code: QSeries} with int coefficients."""
+    mass = sum(map(_series_mass, series.values()))
+    bits = _bits_for(mass)
+    return bits, mass, {code: r for code, s in series.items() if (r := _encode(s.coeffs, bits))}
+
+
 class MultiPoly:
     """Polynomial with integer QSeries coefficients, capped at maxdeg per
     variable, stored as packed residues (module docstring)."""
@@ -114,10 +122,8 @@ class MultiPoly:
     __slots__ = ("nvars", "maxdeg", "order", "bits", "mass", "_terms")
 
     def __init__(self, nvars: int, maxdeg: int, order: int, terms=None):
-        if not isinstance(nvars, int) or nvars < 0:
-            raise ParameterError(f"nvars must be an int >= 0, got {nvars!r}")
-        if not isinstance(maxdeg, int) or maxdeg < 0:
-            raise ParameterError(f"maxdeg must be an int >= 0, got {maxdeg!r}")
+        check_count(nvars, "nvars")
+        check_count(maxdeg, "maxdeg")
         check_order(order)
         radix = 2 * maxdeg + 1
         clean: dict[int, QSeries] = {}
@@ -134,10 +140,7 @@ class MultiPoly:
                     f"coefficient at {e} has order {s.order}, expected {order}"
                 )
             clean[_code(e, radix)] = s
-        mass = sum(map(_series_mass, clean.values()))
-        bits = _bits_for(mass)
-        packed = {code: r for code, s in clean.items() if (r := _encode(s.coeffs, bits))}
-        self._set(nvars, maxdeg, order, bits, mass, packed)
+        self._set(nvars, maxdeg, order, *_pack(clean))
 
     def _set(self, nvars, maxdeg, order, bits, mass, terms):
         for name, value in zip(self.__slots__, (nvars, maxdeg, order, bits, mass, terms)):
@@ -342,23 +345,21 @@ def _pair_cap(nvars: int, maxdeg: int, order: int, N: int, vy: int, vx: int) -> 
 
 def xi_genfun(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> MultiPoly:
     """Generating function of xi values: coefficient at e is xi(eps, e+1)."""
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    check_eps(eps)
     check_window(M, N)
-    if not isinstance(r, int) or r < 0:
-        raise ParameterError(f"r must be an int >= 0, got {r!r}")
-    if not isinstance(maxdeg, int) or maxdeg < 0:
-        raise ParameterError(f"maxdeg must be an int >= 0, got {maxdeg!r}")
+    check_count(r, "r")
+    check_count(maxdeg, "maxdeg")
     return _xi_genfun(eps, M, N, r, maxdeg, order)
 
 
 @lru_cache(maxsize=None)
 def _xi_genfun(eps, M, N, r, maxdeg, order):
-    terms = {}
-    for e in product(range(maxdeg + 1), repeat=2 * r):
-        c = tuple(x + 1 for x in e)
-        terms[e] = xi_value(eps, c, N=N, M=M, order=order)
-    return MultiPoly(2 * r, maxdeg, order, terms)
+    # the leaves are trusted xi values, keyed straight by exponent code
+    leaves = {
+        code: xi_value(eps, tuple(x + 1 for x in e), N=N, M=M, order=order)
+        for code, e in _exponents(2 * r, maxdeg).items()
+    }
+    return MultiPoly.zero(2 * r, maxdeg, order)._make(*_pack(leaves))
 
 
 def boundary_scaled(gp: MultiPoly, N: int) -> MultiPoly:
@@ -378,12 +379,9 @@ def difference_kernels(eps: int, M: int, N: int, maxdeg: int, order: int):
     inner boundary, corner is bivariate in (entry, height).  Both are plain
     truncated expansions; the shift identity relates their differences.
     """
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
-    if not isinstance(M, int) or not isinstance(N, int) or not 0 < M < N:
-        raise ParameterError(f"need ints 0 < M < N, got M={M!r}, N={N!r}")
-    if not isinstance(maxdeg, int) or maxdeg < 0:
-        raise ParameterError(f"maxdeg must be an int >= 0, got {maxdeg!r}")
+    check_eps(eps)
+    check_window(M, N, least=1)
+    check_count(maxdeg, "maxdeg")
 
     one = QSeries.one(order)
     row = _poly(
@@ -441,10 +439,8 @@ def verify_g_diff(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> 
     + b(N-M) q^M / b(M)^eps * F[M,N] with the first pair of variables deleted,
     writing b(n) for 1 - q^n and F for xi_genfun.
     """
-    if not isinstance(M, int) or not isinstance(N, int) or not 0 < M < N:
-        raise ParameterError(f"need ints 0 < M < N, got M={M!r}, N={N!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ParameterError(f"need r >= 1, got {r!r}")
+    check_window(M, N, least=1)
+    check_count(r, "r", least=1)
     params = {"eps": eps, "M": M, "N": N, "r": r, "maxdeg": maxdeg, "order": order}
     nv = 2 * r
     one = QSeries.one(order)
@@ -473,11 +469,9 @@ def verify_recurrence(eps: int, M: int, N: int, r: int, maxdeg: int, order: int)
     partial domino covers T, of the boundary-scaled genfun on the surviving
     variables, weighted by (q^N / (1-q^N)^eps)^(covered pairs).
     """
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    check_eps(eps)
     check_window(M, N)
-    if not isinstance(r, int) or r < 0:
-        raise ParameterError(f"r must be an int >= 0, got {r!r}")
+    check_count(r, "r")
     params = {"eps": eps, "M": M, "N": N, "r": r, "maxdeg": maxdeg, "order": order}
     nv = 2 * r
     one = QSeries.one(order)

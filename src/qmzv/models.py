@@ -71,8 +71,9 @@ from .words import (
     AlgebraElement,
     BarIndex,
     bar_from_pairs,
+    check_count,
+    check_eps,
     check_index,
-    check_pairs,
     diamond_from_pairs,
     index_from_word,
     pairs_from_sz,
@@ -80,9 +81,12 @@ from .words import (
 )
 
 
-def check_window(M: int, N: int):
-    if not (isinstance(M, int) and isinstance(N, int) and 0 <= M < N):
-        raise ParameterError(f"need integers 0 <= M < N, got M={M}, N={N}")
+def check_window(M: int, N: int, least: int = 0):
+    """Integers least <= M < N (a bool is refused); ParameterError otherwise."""
+    if isinstance(M, bool) or isinstance(N, bool) or not (
+        isinstance(M, int) and isinstance(N, int) and least <= M < N
+    ):
+        raise ParameterError(f"need integers {least} <= M < N, got M={M}, N={N}")
 
 
 def check_q_sample(q) -> Fraction:
@@ -93,9 +97,7 @@ def check_q_sample(q) -> Fraction:
 
 
 def check_order(order: int) -> int:
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise ParameterError(f"truncation order must be an int >= 0, got {order!r}")
-    return order
+    return check_count(order, "truncation order")
 
 
 # -- value rings --------------------------------------------------------------
@@ -192,6 +194,9 @@ class _ClassicalValues:
     trunc = staticmethod(_same)
     one = Fraction(1)
     zero = Fraction(0)
+
+    def __init__(self, param=None):
+        """The classical limit has no parameter; param only fills the ring's slot."""
 
     def kernel(self, a, m, k):
         return Fraction(1, m**k)
@@ -303,11 +308,14 @@ def _model_sum(family, entries, low, top, ring, param):
     return _walk(slots, low, top, ring(param))
 
 
-# -- index validation ----------------------------------------------------------
+# -- finite models ---------------------------------------------------------------
 
 
-def _as_bar_index(k) -> BarIndex:
-    return k if isinstance(k, BarIndex) else BarIndex(k)
+def _check_admissible_bar(k) -> tuple:
+    k = k if isinstance(k, BarIndex) else BarIndex(k)
+    if not k.is_admissible():
+        raise AdmissibilityError(f"{k!r} ends with a bar entry")
+    return k.entries
 
 
 def _check_admissible_plain(k) -> tuple:
@@ -317,44 +325,49 @@ def _check_admissible_plain(k) -> tuple:
     return k
 
 
-# -- finite models ---------------------------------------------------------------
+# family -> (index check giving the walker's entries, whether M > 0 is allowed)
+_FINITE = {
+    "dagger": (_check_admissible_bar, True),
+    "bz": (check_index, False),
+    "diamond-dagger": (_check_admissible_plain, True),
+    "diamond-bz": (_check_admissible_plain, False),
+    "reflected": (check_index, False),
+}
+
+
+def _finite(model: str, k, N: int, M: int, ring, param):
+    """A finite model on the window (M, N) in one value ring, after the
+    model's index, window and M rules."""
+    if model not in _FINITE:
+        raise ParameterError(f"unknown model {model!r}; choose one of {tuple(_FINITE)}")
+    check, takes_M = _FINITE[model]
+    entries = check(k)
+    check_window(M, N)
+    if M and not takes_M:
+        raise ParameterError(f"the {model} model is only defined with M = 0")
+    return _model_sum(model, entries, M + 1, N, ring, param)
 
 
 def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
     """Double-truncated weak sum over an admissible bar index."""
-    k = _as_bar_index(k)
-    if not k.is_admissible():
-        raise AdmissibilityError(f"{k!r} ends with a bar entry")
-    check_window(M, N)
-    return _model_sum("dagger", k.entries, M + 1, N, _PackedValues, check_order(order))
+    return _finite("dagger", k, N, M, _PackedValues, check_order(order))
 
 
 def zeta_bz_finite(k, *, N: int, order: int) -> QSeries:
     """Truncated strict sum with factors q^(n(k-1))/(1-q^n)^k; any index."""
-    k = check_index(k)
-    check_window(0, N)
-    return _model_sum("bz", k, 1, N, _PackedValues, check_order(order))
+    return _finite("bz", k, N, 0, _PackedValues, check_order(order))
 
 
 def zeta_diamond_finite(variant: str, k, *, N: int, order: int, M: int = 0) -> QSeries:
-    """Boundary-augmented finite sums; entries equal to 1 may flip to the
-    q^(N-n)-type factor with a weak tie.  The index must not end in 1."""
-    if variant not in ("dagger", "bz"):
-        raise ParameterError(f"variant must be 'dagger' or 'bz', got {variant!r}")
-    k = _check_admissible_plain(k)
-    check_window(M, N)
-    if variant == "bz" and M != 0:
-        raise ParameterError("the bz variant is only defined with M = 0")
-    return _model_sum(
-        f"diamond-{variant}", k, M + 1, N, _PackedValues, check_order(order)
-    )
+    """Boundary-augmented finite sums (variant 'dagger' or 'bz'); entries
+    equal to 1 may flip to the q^(N-n)-type factor with a weak tie.  The
+    index must not end in 1, and the bz variant needs M = 0."""
+    return _finite(f"diamond-{variant}", k, N, M, _PackedValues, check_order(order))
 
 
 def zeta_reflected_blocks(k, *, N: int, order: int) -> QSeries:
     """Weak-block sum whose first block variables carry q^(N-n)/(1-q^(N-n))."""
-    k = check_index(k)
-    check_window(0, N)
-    return _model_sum("reflected", k, 1, N, _PackedValues, check_order(order))
+    return _finite("reflected", k, N, 0, _PackedValues, check_order(order))
 
 
 def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -363,14 +376,9 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
     eps = 0 reads the pairs (l_j, k_j) as l_j - 1 bar entries before k_j;
     eps = 1 reads them as l_j - 1 ones before k_j + 1 in the diamond model.
     """
-    c = check_pairs(c)
-    if eps == 0:
+    if check_eps(eps) == 0:
         return zeta_dagger_finite(bar_from_pairs(c), N=N, order=order, M=M)
-    if eps == 1:
-        return zeta_diamond_finite(
-            "dagger", diamond_from_pairs(c), N=N, order=order, M=M
-        )
-    raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    return zeta_diamond_finite("dagger", diamond_from_pairs(c), N=N, order=order, M=M)
 
 
 # -- infinite models --------------------------------------------------------------
@@ -380,10 +388,7 @@ def zeta_infinite(model: str, k, *, order: int) -> QSeries:
     """Truncated value of the untruncated sum; the index must be admissible."""
     check_order(order)
     if model == "dagger":
-        k = _as_bar_index(k)
-        if not k.is_admissible():
-            raise AdmissibilityError(f"{k!r} ends with a bar entry")
-        family, k = "dagger-inf", k.entries
+        family, k = "dagger-inf", _check_admissible_bar(k)
     elif model == "bz":
         k = check_index(k)
         if k and k[-1] < 2:
@@ -434,29 +439,17 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
 
 def classical_zeta(k, N: int) -> Fraction:
     """Strict truncated harmonic sum of 1/(n_1^(k_1) ... n_r^(k_r))."""
-    k = check_index(k)
-    check_window(0, N)
-    return _classical_sum("bz", k, N)
+    return _finite("bz", k, N, 0, _ClassicalValues, None)
 
 
 def classical_zeta_blocks(c, N: int) -> Fraction:
     """Block sums with l_j - 1 leading factors 1/(N-n) per block."""
-    c = check_pairs(c)
-    check_window(0, N)
-    return _classical_sum("dagger", bar_from_pairs(c).entries, N)
+    return _finite("dagger", bar_from_pairs(c), N, 0, _ClassicalValues, None)
 
 
 def classical_zeta_diamond(k, N: int) -> Fraction:
     """Classical boundary-augmented sum; ones may flip to 1/(N-n) with a tie."""
-    k = _check_admissible_plain(k)
-    check_window(0, N)
-    return _classical_sum("diamond-dagger", k, N)
-
-
-@lru_cache(maxsize=None)
-def _classical_sum(family, entries, N):
-    # cached on validated tuples only, so any sequence the callers accept works
-    return _walk(_SLOTS[family](entries), 1, N, _ClassicalValues())
+    return _finite("diamond-dagger", k, N, 0, _ClassicalValues, None)
 
 
 # -- linear extension over words ---------------------------------------------------
@@ -516,28 +509,10 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
 # -- rational points ----------------------------------------------------------------
 
 
-_POINT_FAMILIES = ("dagger", "bz", "diamond-dagger", "diamond-bz")
-
-
 def eval_at_rational_q(model: str, k, q, *, N: int, M: int = 0) -> Fraction:
-    """Exact value of a finite model at a rational q with |q| not 0 or 1."""
-    if model not in _POINT_FAMILIES:
-        raise ParameterError(
-            f"unknown model {model!r}; choose one of {_POINT_FAMILIES}"
-        )
-    q = check_q_sample(q)
-    check_window(M, N)
-    if model == "dagger":
-        entries = _as_bar_index(k).entries
-    elif model == "bz":
-        entries = check_index(k)
-        if M != 0:
-            raise ParameterError("the bz model is only defined with M = 0")
-    else:
-        entries = _check_admissible_plain(k)
-        if model == "diamond-bz" and M != 0:
-            raise ParameterError("the diamond-bz model is only defined with M = 0")
-    return _model_sum(model, entries, M + 1, N, _PointValues, q)
+    """Exact value of a finite model ('dagger', 'bz', 'diamond-dagger',
+    'diamond-bz' or 'reflected') at a rational q with |q| not 0 or 1."""
+    return _finite(model, k, N, M, _PointValues, check_q_sample(q))
 
 
 def z_map_at_q(model: str, u, q, *, N: int, M: int = 0) -> Fraction:

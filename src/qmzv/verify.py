@@ -40,6 +40,7 @@ from .transforms import verify_transform
 from .words import (
     BarIndex,
     bar_from_pairs,
+    check_count,
     check_index,
     check_pairs,
     diamond_from_pairs,
@@ -285,12 +286,9 @@ class SuiteConfig:
     rational_q_samples: tuple = _DEFAULT_Q_SAMPLES
 
     def __post_init__(self):
-        for name in ("max_weight", "max_N", "order", "maxdeg", "max_r"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ParameterError(f"{name} must be an int >= 0, got {v!r}")
-        if self.max_N < 1:
-            raise ParameterError(f"max_N must be >= 1, got {self.max_N}")
+        for name in ("max_weight", "order", "maxdeg", "max_r"):
+            check_count(getattr(self, name), name)
+        check_count(self.max_N, "max_N", least=1)
         samples = self.rational_q_samples
         if not isinstance(samples, (list, tuple)):
             raise ParameterError(f"rational_q_samples must be a list, got {samples!r}")

@@ -220,6 +220,20 @@ def check_index(k: Sequence[int], name: str = "index", least: int = 1) -> tuple:
     return k
 
 
+def check_count(value: int, name: str, least: int = 0) -> int:
+    """value as an int >= least (a bool is refused); ParameterError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
+def check_eps(eps: int) -> int:
+    """eps as the int 0 or 1; a bool or a float such as 1.0 is refused."""
+    if isinstance(eps, bool) or not isinstance(eps, int) or eps not in (0, 1):
+        raise ParameterError(f"eps must be 0 or 1, got {eps!r}")
+    return eps
+
+
 def word_from_index(k: Sequence[int]) -> str:
     """(k_1, ..., k_r)  ->  y x^(k_1-1) ... y x^(k_r-1)."""
     return "".join("y" + "x" * (e - 1) for e in check_index(k))

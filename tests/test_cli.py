@@ -1,8 +1,11 @@
 """End-to-end exit-code contract and output formats of the command shell."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,31 @@ def run(capsys, *argv) -> tuple:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_lines():
+    """(command, expected output or None) for each `qmzv eval|word|transform|
+    verify` line of the README's CLI block; a `# -> value` comment, on the
+    line or the one after it, gives the expected output."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0].splitlines()
+    out = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        command, _, comment = line.partition("#")
+        if not re.match(r"qmzv (eval|word|transform|verify) ", command):
+            continue
+        note = (comment if comment.strip() else after.strip().removeprefix("#")).strip()
+        expected = note.removeprefix("->").strip() if note.startswith("->") else None
+        out.append((command.strip(), expected))
+    return out
+
+
+@pytest.mark.parametrize("command, expected", readme_cli_lines())
+def test_readme_cli_examples(capsys, command, expected):
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, ""), command
+    if expected is not None:
+        assert out.strip() == expected, command
 
 
 def test_word_example(capsys):
@@ -156,6 +184,9 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "eval", "--model", "dagger", "--index", "0,1",
                        "--N", "2", "--order", "5")
     assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "eval", "--model", "dagger", "--index", "2,b",
+                       "--N", "3", "--q", "2")
+    assert code == 1 and "ends with a bar entry" in err
     code, _, err = run(capsys, "verify", "--identity", "main-finite",
                        "--eps", "0", "--N", "2", "--order", "10")
     assert code == 1 and "--c" in err
@@ -163,6 +194,7 @@ def test_exit_codes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("--model", "bz", "--index", "2", "--N", "3", "--order", "4"),
+    ("--model", "bz", "--index", "2", "--N", "5", "--order", "4"),
     ("--model", "diamond-bz", "--index", "2", "--N", "3", "--order", "4"),
     ("--model", "reflected", "--index", "2", "--N", "3", "--order", "4"),
     ("--model", "dagger", "--index", "2", "--order", "4"),

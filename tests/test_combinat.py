@@ -7,10 +7,8 @@ from qmzv.combinat import (
     alpha,
     beta,
     beta_after,
-    delete_positions,
     eo_count,
     index_surgery,
-    is_tiling,
     kappa,
     oe_count,
     sigma_image,
@@ -62,9 +60,6 @@ def test_small_tilings_explicit():
     assert tilings(0) == ((),)
     assert tilings(1) == ((), (1, 2))
     assert tilings(2) == ((), (1, 2), (2, 3), (3, 4))
-    assert is_tiling((2, 3), 2)
-    assert not is_tiling((1, 2, 3, 4), 2)
-    assert not is_tiling((1, 3), 2)
 
 
 def test_tilings_have_even_size_and_sorted_order():
@@ -139,10 +134,3 @@ def test_index_surgery():
         index_surgery((2, 1), (1,), ())  # position 1 carries entry 2
     with pytest.raises(ParameterError):
         index_surgery((2, 1), (), (2,))  # position 2 carries entry 1
-
-
-def test_delete_positions():
-    assert delete_positions(("a", "b", "c"), (2,)) == ("a", "c")
-    assert delete_positions((1, 2, 3, 4), (1, 4)) == (2, 3)
-    with pytest.raises(ParameterError):
-        delete_positions((1, 2), (3,))

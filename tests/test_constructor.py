@@ -7,8 +7,6 @@ import pytest
 from qmzv import constructor
 from qmzv.constructor import (
     bz_word,
-    classical_bz_word,
-    classical_dagger_word,
     classical_expansion_word,
     dagger_word,
     expansion_word,
@@ -67,10 +65,10 @@ def test_bz_word_hand_values():
 
 
 def test_classical_hand_values():
-    assert classical_dagger_word((1, 1)) == AlgebraElement.word("y")
-    assert classical_dagger_word((2, 1)) == AlgebraElement.word("yx")
-    assert classical_bz_word((1, 1)) == AlgebraElement.word("yx")
-    assert classical_bz_word((2, 1)) == AlgebraElement.word("yxx")
+    assert classical_expansion_word(0, (1, 1)) == AlgebraElement.word("y")
+    assert classical_expansion_word(0, (2, 1)) == AlgebraElement.word("yx")
+    assert classical_expansion_word(1, (1, 1)) == AlgebraElement.word("yx")
+    assert classical_expansion_word(1, (2, 1)) == AlgebraElement.word("yxx")
 
 
 def test_invalid_indices_rejected():

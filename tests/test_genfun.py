@@ -119,6 +119,20 @@ def test_xi_genfun_coefficients_match_fresh_evaluations():
     assert gp.coeff((1, 0, 0, 1)) == xi_value(1, (2, 1, 1, 2), N=4, M=1, order=ORDER)
 
 
+@pytest.mark.parametrize("eps", (0, 1))
+def test_xi_genfun_matches_public_constructor(eps):
+    # xi_genfun packs its leaves without the constructor's per-term checks
+    for r, maxdeg in product(range(3), range(3)):
+        leaves = {
+            e: xi_value(eps, tuple(x + 1 for x in e), N=4, M=1, order=ORDER)
+            for e in product(range(maxdeg + 1), repeat=2 * r)
+        }
+        want = MultiPoly(2 * r, maxdeg, ORDER, leaves)
+        got = xi_genfun(eps, 1, 4, r, maxdeg, ORDER)
+        assert got == want, (r, maxdeg)
+        assert (got.bits, got.mass, got.terms()) == (want.bits, want.mass, want.terms())
+
+
 def test_xi_genfun_parameter_errors():
     with pytest.raises(ParameterError):
         xi_genfun(2, 0, 3, 1, 2, ORDER)

@@ -322,6 +322,14 @@ def test_order_refuses_booleans():
         models.xi_value(0, (1, 2), N=3, order=True)
 
 
+def test_point_and_series_rings_refuse_the_same_bar_index():
+    k = BarIndex((2, BAR1))
+    with pytest.raises(AdmissibilityError):
+        models.zeta_dagger_finite(k, N=3, order=5)
+    with pytest.raises(AdmissibilityError):
+        models.eval_at_rational_q("dagger", k, 2, N=3)
+
+
 # -- infinite models ---------------------------------------------------------------
 
 

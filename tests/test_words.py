@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmzv.constructor import classical_expansion_word, expansion_word
 from qmzv.errors import AdmissibilityError, MembershipError, ParameterError
-from qmzv.models import zeta_infinite
+from qmzv.genfun import MultiPoly, verify_g_diff, verify_recurrence
+from qmzv.models import check_window, xi_value, zeta_bz_finite, zeta_infinite
+from qmzv.verify import SuiteConfig
 from qmzv.words import (
     BAR1,
     H0,
@@ -187,6 +190,28 @@ def test_check_index_rejects_non_sequences():
         check_index((1, 0))
     with pytest.raises(ParameterError, match="^pair sequence must be"):
         bar_from_pairs(None)
+
+
+# Each call passes a bool for a count, window bound or eps, or the float 1.0
+# for eps; bool is an int subclass and 1.0 == 1, so an isinstance-only or
+# membership-only check lets them through.
+@pytest.mark.parametrize("call", [
+    lambda: zeta_bz_finite((1,), N=True, order=3),
+    lambda: MultiPoly(True, 1, 3),
+    lambda: verify_g_diff(0, True, 3, 1, 1, 4),
+    lambda: verify_recurrence(True, 0, 2, 1, 1, 4),
+    lambda: expansion_word(1.0, (1, 1)),
+    lambda: classical_expansion_word(1.0, (2, 1)),
+    lambda: xi_value(1.0, (1, 1), N=3, order=4),
+    lambda: check_window(True, 3),
+    lambda: SuiteConfig(max_N=True),
+], ids=[
+    "bz-finite-N", "multipoly-nvars", "g-diff-M", "recurrence-eps", "expansion-eps",
+    "classical-expansion-eps", "xi-eps", "window-M", "suite-config-max_N",
+])
+def test_scalar_checks_refuse_bool_and_float(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_zero_padded_index_has_one_validator():
