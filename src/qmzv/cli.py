@@ -16,6 +16,7 @@ from fractions import Fraction
 from .constructor import bz_word, classical_expansion_word, expansion_word
 from .errors import ParameterError, QmzvError
 from .models import (
+    _FINITE,
     classical_zeta,
     classical_zeta_blocks,
     classical_zeta_diamond,
@@ -114,7 +115,8 @@ _EVAL_MODELS = (
 )
 
 
-_WINDOW_MODELS = ("dagger", "diamond-dagger", "xi")
+# the finite models that take M > 0, and xi, whose two families both do
+_WINDOW_MODELS = tuple(model for model, (_, takes_M) in _FINITE.items() if takes_M) + ("xi",)
 
 
 def _cmd_eval(args) -> int:

@@ -8,20 +8,18 @@ exponents above maxdeg and q-powers above order"; identities checked
 coefficientwise on truncations are therefore exact statements about the
 range they cover.
 
-Each coefficient is stored packed, as one Python int: the series evaluated
-at q = 2^bits and reduced mod 2^(bits (order+1)).  That map is a ring
-homomorphism, so add, negate and multiply are one int add, negate or multiply
-followed by a mask (Kronecker substitution with signed digits).  Every
-MultiPoly carries mass, an int bound on the sum of |c| over all of its
-q-coefficients: the L1 norm when built from QSeries, mass_a + mass_b for a
-sum, mass_a * mass_b for a product (truncation only drops terms) and
-|c| * mass for an integer scalar c.  bits is mass.bit_length() + 2 rounded up
-to a multiple of 32, and an operation whose mass outgrows its operands' bits
-repacks them wider first.  So every coefficient lies below 2^(bits-2) in
-absolute value and decodes uniquely as balanced base-2^bits digits; a zero
-residue is the zero series.  Two polynomials are equal when their residues
-agree at a width that also bounds the difference, mass_lhs + mass_rhs, so
-equality never decodes; compare_polys decodes only to name a mismatch.
+Each coefficient is stored as one series.pack residue, so add, negate and
+multiply are int operations followed by a mask.  Every MultiPoly carries
+mass, an int bound on the sum of |c| over all of its q-coefficients: the L1
+norm when built from QSeries, mass_a + mass_b for a sum, mass_a * mass_b for
+a product (truncation only drops terms) and |c| * mass for an integer scalar
+c.  bits is mass.bit_length() + 2 rounded up to a multiple of 32, and an
+operation whose mass outgrows its operands' bits repacks them wider first.
+So every coefficient lies below 2^(bits-2) in absolute value and decodes
+exactly; a zero residue is the zero series.  Two polynomials are equal when
+their residues agree at a width that also bounds the difference,
+mass_lhs + mass_rhs, so equality never decodes; compare_polys decodes only
+to name a mismatch.
 
 Exponent tuples are stored as codes, their digits in radix 2 maxdeg + 1 with
 the first variable most significant.  Adding two codes adds the tuples
@@ -47,7 +45,7 @@ from .combinat import eo_count, kappa, tilings
 from .errors import OrderMismatchError, ParameterError
 from .models import check_order, check_window, xi_value
 from .report import Report
-from .series import QSeries, bracket, inv_bracket_pow, kernel
+from .series import QSeries, bracket, inv_bracket_pow, kernel, layout, pack, unpack
 from .words import check_count, check_eps
 
 
@@ -56,17 +54,8 @@ from .words import check_count, check_eps
 
 def _bits_for(mass: int) -> int:
     """Bits per coefficient for a polynomial of the given mass: a multiple
-    of 32 (so digits are whole bytes and widths change rarely) at least
-    mass.bit_length() + 2."""
+    of 32 (so widths change rarely) at least mass.bit_length() + 2."""
     return -(-(mass.bit_length() + 2) // 32) * 32
-
-
-@lru_cache(maxsize=None)
-def _layout(bits: int, order: int):
-    """(bytes per digit, half digit, residue mask, half in every digit)."""
-    width, half = bits // 8, 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
-    return width, half, (1 << (bits * (order + 1))) - 1, offset
 
 
 def _series_mass(s: QSeries) -> int:
@@ -75,23 +64,6 @@ def _series_mass(s: QSeries) -> int:
     if not isinstance(mass, int):
         raise ParameterError(f"{s!r} has a coefficient that is not an integer")
     return mass
-
-
-def _encode(coeffs, bits: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << bits) + c
-    return value & _layout(bits, len(coeffs) - 1)[2]
-
-
-def _decode(residue: int, bits: int, order: int) -> list:
-    # adding half to every digit makes them all nonnegative, so no borrows
-    width, half, mask, offset = _layout(bits, order)
-    raw = ((residue + offset) & mask).to_bytes(width * (order + 1), "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, len(raw), width)
-    ]
 
 
 def _code(e, radix: int) -> int:
@@ -112,7 +84,7 @@ def _pack(series: dict) -> tuple:
     """(bits, mass, packed terms) for {code: QSeries} with int coefficients."""
     mass = sum(map(_series_mass, series.values()))
     bits = _bits_for(mass)
-    return bits, mass, {code: r for code, s in series.items() if (r := _encode(s.coeffs, bits))}
+    return bits, mass, {code: r for code, s in series.items() if (r := pack(s.coeffs, bits))}
 
 
 class MultiPoly:
@@ -170,12 +142,12 @@ class MultiPoly:
             return self._terms
         order = self.order
         return {
-            code: _encode(_decode(r, self.bits, order), bits)
+            code: pack(unpack(r, self.bits, order), bits)
             for code, r in self._terms.items()
         }
 
     def _series(self, residue: int) -> QSeries:
-        return QSeries(self.order, _decode(residue, self.bits, self.order))
+        return QSeries(self.order, unpack(residue, self.bits, self.order))
 
     def coeff(self, e) -> QSeries:
         e = tuple(e)
@@ -214,7 +186,7 @@ class MultiPoly:
         self._require_compatible(other)
         mass = self.mass + other.mass
         bits, a, b = self._widths(other, mass)
-        mask = _layout(bits, self.order)[2]
+        mask = layout(bits, self.order)[0]
         merged = dict(a)
         for code, r in b.items():
             value = (merged.get(code, 0) + sign * r) & mask
@@ -235,12 +207,12 @@ class MultiPoly:
         return self._plus(other, -1)
 
     def __neg__(self):
-        mask = _layout(self.bits, self.order)[2]
+        mask = layout(self.bits, self.order)[0]
         return self._make(self.bits, self.mass, {c: -r & mask for c, r in self._terms.items()})
 
     def _scaled(self, factor: int, mass: int, bits: int) -> "MultiPoly":
         """Every term times factor: an int, or a series packed at bits."""
-        mask = _layout(bits, self.order)[2]
+        mask = layout(bits, self.order)[0]
         terms = {c: v for c, r in self._at(bits).items() if (v := r * factor & mask)}
         return self._make(bits, mass, terms)
 
@@ -252,7 +224,7 @@ class MultiPoly:
             mass = self.mass * series_mass
             # the width must hold the packed factor too, even when self is zero
             bits = max(self.bits, _bits_for(max(mass, series_mass)))
-            return self._scaled(_encode(other.coeffs, bits), mass, bits)
+            return self._scaled(pack(other.coeffs, bits), mass, bits)
         if isinstance(other, int):
             mass = self.mass * abs(other)
             return self._scaled(other, mass, max(self.bits, _bits_for(mass)))
@@ -271,7 +243,7 @@ class MultiPoly:
                 c = c1 + c2
                 if c in valid:
                     out[c] = get(c, 0) + r1 * r2
-        mask = _layout(bits, self.order)[2]
+        mask = layout(bits, self.order)[0]
         return self._make(bits, mass, {c: v for c, r in out.items() if (v := r & mask)})
 
     def __rmul__(self, other):

@@ -36,18 +36,17 @@ the strict steps before or after slot j leave no room for.  Each
 (slot, choice, n) builds its factor once and makes one product.
 
 The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
-the classical limits, where every factor becomes 1/x^k, and two q-series
-rings.  Every series model except zeta_poly has nonnegative integer
-coefficients, and walks on the packed ring: a truncated series is one Python
-int with `bits` bits per coefficient, so add is an int add and mul one
-bigint multiply (Kronecker substitution), and each stored S_j(lo) is cut back
-to order + 1 digits by a mask.  Carries only move upward, so those digits stay
-exact while no coefficient reaches 2^bits.  The bound that fixes bits:
-coefficientwise q^a/(1-q^m)^k <= 1/(1-q)^k, and each variable takes at most
-top - low values, so no suffix coefficient exceeds
-prod_j (top - low) |slot_j| * C(order + K, K), with K the sum of the largest
-k per slot.  The walk is unpacked to a QSeries once.  zeta_poly has signed
-rational numerators and walks on dense QSeries values.
+the classical limits, where every factor becomes 1/x^k, and integer q-series
+packed by series.pack: add is an int add, mul one bigint multiply (Kronecker
+substitution), and each stored S_j(lo) is cut back to order + 1 digits by a
+mask.  The walk decodes exactly while every coefficient lies below
+2^(bits-1) in absolute value.  The bound that fixes bits: coefficientwise
+|q^a/(1-q^m)^k| <= 1/(1-q)^k, a numerator multiplies that by at most its L1
+norm, and each variable takes at most top - low values, so no suffix
+coefficient exceeds prod_j (top - low) w_j * C(order + K, K), with w_j the
+sum over slot j's choices of their numerators' L1 norms (1 without one) and
+K the sum of the largest k per slot.  zeta_poly clears its numerators'
+denominators first and divides its walk once at the end.
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -58,12 +57,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, MembershipError, ParameterError
 from .report import Report, compare_values
-from .series import QSeries, kernel
+from .series import QSeries, layout, packed_kernel, unpack
 from .words import (
     BAR1,
     H1,
@@ -112,67 +111,46 @@ def _same(value):
 
 
 class _PackedValues:
-    """Truncated q-series with nonnegative integer coefficients, packed into
-    one int with `bits` bits per coefficient: the value at q = 2^bits.
+    """Truncated integer q-series as series.pack residues of `bits` bits per
+    coefficient; trunc() drops every digit above the order."""
 
-    Add is an int add and mul one bigint multiply.  Carries only move upward,
-    so the low order + 1 digits stay exact while no true coefficient reaches
-    2^bits (see _packed_bits); trunc() drops every digit above the order."""
+    one = 1
+    zero = 0
 
     def __init__(self, order: int, bits: int):
         self.order = order
         self.bits = bits
-        self.mask = (1 << (bits * (order + 1))) - 1
-        self.one = 1
-        self.zero = 0
+        self.mask = layout(bits, order)[0]
 
     def kernel(self, a, m, k):
-        # the negative binomial digits C(t+k-1, k-1) at the exponents a + m t
-        if a > self.order:
-            return 0
-        if k == 0:
-            return 1 << (self.bits * a)
-        step = self.bits * m
-        value = 0
-        for t in range((self.order - a) // m, -1, -1):
-            value = (value << step) + comb(t + k - 1, k - 1)
-        return value << (self.bits * a)
+        return packed_kernel(a, m, k, self.order, self.bits)
 
     def trunc(self, value):
         return value & self.mask
-
-    def unpack(self, value) -> QSeries:
-        bits, digit = self.bits, (1 << self.bits) - 1
-        return QSeries(
-            self.order, [(value >> (bits * i)) & digit for i in range(self.order + 1)]
-        )
 
 
 def _packed_bits(slots, low, top, order) -> int:
     """Bits per coefficient that hold every suffix value of a walk.
 
-    2^(bits - 1) lies above prod_j max(top - low, 1) |slot_j| * C(order + K, K),
-    the bound of the module docstring; the 1 covers an empty range, where the
-    only nonzero suffix is the empty tail, whose value is one."""
-    bound, K = 1, 0
+    2^(bits - 1) lies above prod_j max(top - low, 1) max(w_j, 1) * C(order + K, K),
+    the bound of the module docstring; no factor is below one, so it also
+    bounds every shorter suffix and the empty tail, whose value is one."""
+    bound, K, width = 1, 0, max(top - low, 1)
     for slot in slots:
-        bound *= max(top - low, 1) * len(slot)
-        K += max(choice.k for choice in slot)
+        weight = k = 0
+        for choice in slot:
+            weight += 1 if choice.poly is None else sum(map(abs, choice.poly))
+            k = max(k, choice.k)
+        bound *= width * max(weight, 1)
+        K += k
     return (bound * comb(order + K, K)).bit_length() + 1
 
 
-class _SeriesValues:
-    """Dense QSeries values, for signed or rational coefficients."""
-
-    trunc = staticmethod(_same)
-
-    def __init__(self, order: int):
-        self.order = order
-        self.one = QSeries.one(order)
-        self.zero = QSeries.zero(order)
-
-    def kernel(self, a, m, k):
-        return kernel(a, m, k, self.order)
+def _series_walk(slots, low, top, order) -> QSeries:
+    """The walk on the packed ring, unpacked to a QSeries."""
+    bits = _packed_bits(slots, low, top, order)
+    walk = _walk(slots, low, top, _PackedValues(order, bits))
+    return QSeries(order, unpack(walk, bits, order))
 
 
 class _PointValues:
@@ -303,8 +281,7 @@ _SLOTS = {
 def _model_sum(family, entries, low, top, ring, param):
     slots = _SLOTS[family](entries)
     if ring is _PackedValues:
-        vals = _PackedValues(param, _packed_bits(slots, low, top, param))
-        return vals.unpack(_walk(slots, low, top, vals))
+        return _series_walk(slots, low, top, param)
     return _walk(slots, low, top, ring(param))
 
 
@@ -418,7 +395,6 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
         ) from None
     if len(polys) != len(k):
         raise ParameterError(f"need {len(k)} polynomials, got {len(polys)}")
-    coeffs = []
     for j, cs in enumerate(polys):
         for c in cs:
             if not isinstance(c, (int, Fraction)):
@@ -427,11 +403,16 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
             raise ParameterError(
                 f"polynomial {j + 1} has degree {len(cs) - 1} > k_{j + 1} = {k[j]}"
             )
-        coeffs.append(cs)
-    if k and (not coeffs[-1] or coeffs[-1][0] != 0):
+    if k and (not polys[-1] or polys[-1][0] != 0):
         raise ParameterError("the last polynomial must have zero constant term")
-    slots = tuple((_Choice(0, kj, poly=cs),) for kj, cs in zip(k, coeffs))
-    return _walk(slots, 1, order + 1, _SeriesValues(order))
+    # clear each numerator's denominators, walk over the integers, divide once
+    scales = [lcm(*(c.denominator for c in cs)) for cs in polys]
+    slots = tuple(
+        (_Choice(0, kj, poly=tuple(c.numerator * (scale // c.denominator) for c in cs)),)
+        for kj, cs, scale in zip(k, polys, scales)
+    )
+    walk, scale = _series_walk(slots, 1, order + 1, order), prod(scales)
+    return walk if scale == 1 else QSeries(order, [Fraction(c, scale) for c in walk.coeffs])
 
 
 # -- classical limits -------------------------------------------------------------

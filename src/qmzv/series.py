@@ -9,6 +9,12 @@ semantically since ints embed in the rationals.
 Binary operations require both operands to carry the same order.  A mismatch
 raises OrderMismatchError instead of silently truncating, so precision is
 always explicit at the call site.
+
+The packed codec (layout, pack, unpack, packed_kernel) stores an integer
+series truncated at the order as one int, its value at q = 2^bits reduced mod
+2^(bits (order+1)): a ring homomorphism (Kronecker substitution), so add,
+negate and multiply are int operations and a mask.  Balanced digits decode
+exactly when every coefficient lies in [-2^(bits-1), 2^(bits-1)).
 """
 
 from __future__ import annotations
@@ -18,14 +24,14 @@ from functools import lru_cache
 from math import comb
 
 from .errors import NonInvertibleError, OrderMismatchError, ParameterError
+from .words import check_count
 
 
 class QSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        if order < 0:
-            raise ParameterError(f"truncation order must be >= 0, got {order}")
+        check_count(order, "truncation order")
         coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ParameterError(
@@ -213,9 +219,14 @@ def inv_bracket_pow(n: int, k: int, order: int) -> QSeries:
     return QSeries(order, c)
 
 
-@lru_cache(maxsize=None)
 def kernel(a: int, m: int, k: int, order: int) -> QSeries:
     """q^a / (1 - q^m)^k: the zero series when a > order, q^a when k = 0."""
+    # checked before the cache, which holds True and 1 as one key
+    return _kernel(a, m, k, check_count(order, "truncation order"))
+
+
+@lru_cache(maxsize=None)
+def _kernel(a: int, m: int, k: int, order: int) -> QSeries:
     if a > order:
         return QSeries.zero(order)
     return inv_bracket_pow(m, k, order).shift(a)
@@ -224,6 +235,48 @@ def kernel(a: int, m: int, k: int, order: int) -> QSeries:
 def pow_kernel(n: int, k: int, order: int) -> QSeries:
     """q^n / (1 - q^n)^k."""
     return kernel(n, n, k, order)
+
+
+# -- packed series -------------------------------------------------------------
+#
+# The codec of the module docstring.  Widths need not be whole bytes: the
+# walker sizes them to its coefficient bound, bit by bit.
+
+
+@lru_cache(maxsize=None)
+def layout(bits: int, order: int) -> tuple:
+    """(residue mask, half a digit 2^(bits-1) in every digit) for order + 1 digits."""
+    mask = (1 << (bits * (order + 1))) - 1
+    return mask, mask // ((1 << bits) - 1) << (bits - 1)
+
+
+def pack(coeffs, bits: int) -> int:
+    """The residue of the integer series with these coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value & layout(bits, len(coeffs) - 1)[0]
+
+
+def unpack(residue: int, bits: int, order: int) -> list:
+    """The coefficients of a residue, as balanced digits."""
+    # half a digit added to every digit makes them all nonnegative: no borrows
+    mask, offset = layout(bits, order)
+    value, digit, half = (residue + offset) & mask, (1 << bits) - 1, 1 << (bits - 1)
+    return [((value >> shift) & digit) - half for shift in range(0, bits * (order + 1), bits)]
+
+
+def packed_kernel(a: int, m: int, k: int, order: int, bits: int) -> int:
+    """kernel(a, m, k, order) at q = 2^bits, unmasked: C(t+k-1, k-1) at q^(a+mt)."""
+    if a > order:
+        return 0
+    if k == 0:
+        return 1 << (bits * a)
+    step = bits * m
+    value = 0
+    for t in range((order - a) // m, -1, -1):
+        value = (value << step) + comb(t + k - 1, k - 1)
+    return value << (bits * a)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -73,6 +73,10 @@ def test_eval_infinite_and_point(capsys):
                        "--q", "1/2", "--N", "4", "--json")
     assert code == 0
     assert json.loads(out) == {"value": "64/63"}
+    # window M = 1: the sum of 2^n / (1 - 2^n)^2 over n = 2, 3, 4
+    code, out, _ = run(capsys, "eval", "--model", "dagger", "--index", "2",
+                       "--N", "5", "--M", "1", "--q", "2")
+    assert code == 0 and out.strip() == "7484/11025"
 
 
 def test_eval_classical(capsys):

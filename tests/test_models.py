@@ -9,11 +9,12 @@ test.
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 import pytest
 
 from qmzv.errors import AdmissibilityError, MembershipError, ParameterError
-from qmzv.series import QSeries, bracket, inv_bracket_pow, invert_unit, pow_kernel
+from qmzv.series import QSeries, bracket, inv_bracket_pow, invert_unit, kernel, pow_kernel
 from qmzv.words import (
     BAR1,
     BarIndex,
@@ -439,6 +440,10 @@ def test_poly_model():
         models.zeta_poly((1, 2), [(0, 1)], order=6)  # arity mismatch
     with pytest.raises(ParameterError):
         models.zeta_poly((1,), None, order=5)
+    # signed and rational numerators, against the walk on the dense ring
+    for k, polys in POLY_POOL:
+        dense = models._walk(poly_slots(k, polys), 1, 13, SeriesValues(12))
+        assert models.zeta_poly(k, polys, order=12) == dense, (k, polys)
 
 
 def test_poly_model_two_rows():
@@ -722,36 +727,77 @@ def test_reflected_blocks_matches_dagger():
 # -- the packed series ring ---------------------------------------------------------
 
 
+class SeriesValues:
+    """The dense reference ring: QSeries values, signed or rational, for the
+    walker to run on as it runs on the packed ring."""
+
+    def __init__(self, order):
+        self.order = order
+        self.one = QSeries.one(order)
+        self.zero = QSeries.zero(order)
+
+    def kernel(self, a, m, k):
+        return kernel(a, m, k, self.order)
+
+    @staticmethod
+    def trunc(value):
+        return value
+
+
+# zeta_poly inputs (k, numerators): signed, with and without Fractions
+POLY_POOL = [
+    ((1,), [(0, Fraction(-3, 2))]),
+    ((2,), [(0, 1, -1)]),
+    ((2,), [(0, -10**6, Fraction(10**6 + 1, 3))]),
+    ((1, 2), [(1, -2), (0, -1, 2)]),
+    ((2, 1), [(Fraction(-1, 2), 0, 3), (0, Fraction(7, 4))]),
+    ((1, 1, 2), [(-1,), (2, -3), (0, 0, -1)]),
+]
+
+
+def poly_slots(k, polys):
+    return tuple((models._Choice(0, kj, poly=tuple(cs)),) for kj, cs in zip(k, polys))
+
+
+def cleared(polys):
+    """zeta_poly's integer numerators: each times the lcm of its denominators."""
+    out = []
+    for cs in polys:
+        scale = lcm(*(Fraction(c).denominator for c in cs))
+        out.append([int(c * scale) for c in cs])
+    return out
+
+
 def oracle_walks():
-    """(family, entries, low, top, order) for every walk of the brute-force
-    oracle grids above."""
+    """(slots, low, top, order) for every walk of the brute-force oracle
+    grids above, and the denominator-cleared walks of POLY_POOL."""
+    slots = models._SLOTS
     for entries, M, N in product(DAGGER_FINITE_POOL, (0, 1, 2), (2, 3, 4)):
         if M < N:
-            yield "dagger", entries, M + 1, N, 12
+            yield slots["dagger"](entries), M + 1, N, 12
     for k, N in product(BZ_FINITE_POOL, (2, 3, 5)):
-        yield "bz", k, 1, N, 12
+        yield slots["bz"](k), 1, N, 12
     for k, N in product(DIAMOND_POOL, (2, 3, 5)):
-        yield "diamond-bz", k, 1, N, 10
+        yield slots["diamond-bz"](k), 1, N, 10
         for M in range(0, min(N, 3)):
-            yield "diamond-dagger", k, M + 1, N, 10
+            yield slots["diamond-dagger"](k), M + 1, N, 10
     for k, N in product(REFLECTED_POOL, (2, 3, 5)):
-        yield "reflected", k, 1, N, 12
-    yield "dagger-inf", (BAR1, 2), 1, 15, 14
+        yield slots["reflected"](k), 1, N, 12
+    yield slots["dagger-inf"]((BAR1, 2)), 1, 15, 14
     for c in DAGGER_INF_PAIRS:
-        yield "dagger-inf", bar_from_pairs(c).entries, 1, 11, 10
+        yield slots["dagger-inf"](bar_from_pairs(c).entries), 1, 11, 10
     for k in BZ_INF_POOL:
-        yield "bz", k, 1, 15, 14
+        yield slots["bz"](k), 1, 15, 14
     for k in SZ_INF_POOL:
-        yield "sz", k, 1, 11, 10
+        yield slots["sz"](k), 1, 11, 10
+    for k, polys in POLY_POOL:
+        yield poly_slots(k, cleared(polys)), 1, 11, 10
 
 
-def packed_and_dense(family, entries, low, top, order):
-    """The walk on the packed ring (uncached) and on the dense QSeries ring."""
-    packed = models._model_sum.__wrapped__(
-        family, entries, low, top, models._PackedValues, order
-    )
-    slots = models._SLOTS[family](entries)
-    return packed, models._walk(slots, low, top, models._SeriesValues(order))
+def packed_and_dense(slots, low, top, order):
+    """The walk on the packed ring and on the dense reference ring."""
+    packed = models._series_walk(slots, low, top, order)
+    return packed, models._walk(slots, low, top, SeriesValues(order))
 
 
 def brute_suffixes(slots, low, top, order):
@@ -760,7 +806,10 @@ def brute_suffixes(slots, low, top, order):
     and every lattice point of each tail is listed, then bucketed by n_j."""
     def factor(choice, n):
         x = top - n if choice.reflected else n
-        return q_kernel(choice.s * x, x, choice.k, order)
+        if choice.poly is None:
+            return q_kernel(choice.s * x, x, choice.k, order)
+        terms = (c * q_kernel(t * x, x, choice.k, order) for t, c in enumerate(choice.poly))
+        return sum(terms, QSeries.zero(order))
 
     out = {}
     for j in range(len(slots) + 1):
@@ -791,13 +840,16 @@ def test_packed_walk_matches_dense_on_oracle_grids():
 
 def test_packed_walk_matches_dense_at_order_100():
     # the deepest eval-high-order strata: infinite dagger with three runs,
-    # xi with r = 3 and l_1 + l_2 + l_3 = 4 (eps 0 and 1), and a window M > 0
+    # xi with r = 3 and l_1 + l_2 + l_3 = 4 (eps 0 and 1), and a window M > 0;
+    # then signed zeta_poly numerators near 10^30
     c = (2, 3, 1, 6, 1, 4)
+    big = 10**30
     walks = (
-        ("dagger-inf", bar_from_pairs((4, 6, 4, 5, 4, 6)).entries, 1, 101, 100),
-        ("dagger", bar_from_pairs(c).entries, 1, 24, 100),
-        ("diamond-dagger", diamond_from_pairs(c), 1, 24, 100),
-        ("dagger", bar_from_pairs(c).entries, 9, 20, 100),
+        (models._SLOTS["dagger-inf"](bar_from_pairs((4, 6, 4, 5, 4, 6)).entries), 1, 101, 100),
+        (models._SLOTS["dagger"](bar_from_pairs(c).entries), 1, 24, 100),
+        (models._SLOTS["diamond-dagger"](diamond_from_pairs(c)), 1, 24, 100),
+        (models._SLOTS["dagger"](bar_from_pairs(c).entries), 9, 20, 100),
+        (poly_slots((2, 3), [(big + 7, 3 - big, big), (0, -big, big - 1, 5)]), 1, 101, 100),
     )
     for walk in walks:
         packed, dense = packed_and_dense(*walk)
@@ -805,14 +857,13 @@ def test_packed_walk_matches_dense_at_order_100():
 
 
 def test_packed_bits_bound_every_suffix():
-    # 2^(bits-1) lies above every coefficient of every suffix value S_j(lo)
+    # 2^(bits-1) lies above |c| for every coefficient c of every suffix S_j(lo)
     for walk in oracle_walks():
-        family, entries, low, top, order = walk
-        slots = models._SLOTS[family](entries)
+        slots, low, top, order = walk
         bits = models._packed_bits(slots, low, top, order)
         suffixes = brute_suffixes(slots, low, top, order)
         assert suffixes[0, low] == packed_and_dense(*walk)[0], walk
-        biggest = max(max(s.coeffs) for s in suffixes.values())
+        biggest = max(max(map(abs, s.coeffs)) for s in suffixes.values())
         assert biggest < 2 ** (bits - 1), walk
 
 
@@ -834,8 +885,8 @@ def test_walker_has_no_recursion_cliff():
     finally:
         sys.setrecursionlimit(limit)
     slots = models._SLOTS["dagger-inf"]((2, 3, 2))
-    assert deep == models._walk(slots, 1, 401, models._SeriesValues(400))
+    assert deep == models._walk(slots, 1, 401, SeriesValues(400))
     # the lowest term comes from the one point n_j = j alone
     assert wide.valuation() == 12 and wide.coeff(12) == 1
     slots = models._SLOTS["bz"]((1,) * 11 + (2,))
-    assert wide == models._walk(slots, 1, 60, models._SeriesValues(40))
+    assert wide == models._walk(slots, 1, 60, SeriesValues(40))

@@ -13,9 +13,13 @@ from qmzv.series import (
     inv_bracket_pow,
     invert_unit,
     kernel,
+    layout,
+    pack,
+    packed_kernel,
     pow_kernel,
     series_from_json,
     series_to_json,
+    unpack,
 )
 
 
@@ -77,9 +81,53 @@ def test_kernel_shifts():
             for k in (0, 1, 2, 3):
                 want = QSeries.monomial(order, a) * invert_unit(bracket(m, order) ** k)
                 assert kernel(a, m, k, order) == want, (a, m, k)
+                assert packed_kernel(a, m, k, order, 9) == pack(want.coeffs, 9), (a, m, k)
             assert pow_kernel(m, 2, order) == kernel(m, m, 2, order)
     assert kernel(0, 3, 0, order) == QSeries.one(order)
     assert kernel(11, 3, 2, order).is_zero()
+
+
+def test_orders_refuse_booleans():
+    # bool is an int subclass; each call used to return an order-True series.
+    # kernel checks first: its cache holds True and 1 as one key
+    calls = (
+        lambda: QSeries.one(True),
+        lambda: QSeries(True, [0, 1]),
+        lambda: kernel(1, 1, 1, True),
+    )
+    for warm in (False, True):
+        if warm:
+            assert kernel(1, 1, 1, 1) == QSeries(1, [0, 1])
+        for call in calls:
+            with pytest.raises(ParameterError):
+                call()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 130), st.integers(0, 120))
+def test_pack_unpack_round_trip(data, bits, order):
+    # balanced digits decode every -2^(bits-1) <= c < 2^(bits-1), at any
+    # width, whole bytes or not
+    half = 1 << (bits - 1)
+    digits = st.lists(st.integers(-half, half - 1), min_size=order + 1, max_size=order + 1)
+    coeffs = data.draw(digits)
+    residue = pack(coeffs, bits)
+    assert 0 <= residue <= layout(bits, order)[0]
+    assert unpack(residue, bits, order) == coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 120))
+def test_packed_product_is_truncated_product(data, order):
+    # every coefficient of a truncated product is at most L1(a) L1(b), so a
+    # width with 2^(bits-1) above that decodes the masked int product
+    digits = st.lists(st.integers(-(2**40), 2**40), min_size=order + 1, max_size=order + 1)
+    a, b = data.draw(digits), data.draw(digits)
+    least = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+    bits = data.draw(st.integers(least, least + 40))
+    product = pack(a, bits) * pack(b, bits) & layout(bits, order)[0]
+    want = QSeries(order, a) * QSeries(order, b)
+    assert unpack(product, bits, order) == list(want.coeffs)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
