@@ -5,8 +5,11 @@ the integer combination of words whose evaluation reproduces the nested sum
 xi(eps, c).  The recursion peels entries of c: subsets B of positions with
 entry > 1 lose one from each chosen entry, and position sets A of 1-entries
 that form a partial domino tiling are deleted outright, with signs driven by
-the even-odd domino counts and a binomial redistribution.  classical versions
-keep only the top-weight surviving terms.
+the even-odd domino counts and a binomial redistribution.  The classical
+(q -> 1) version is not a second recursion: it keeps the words of
+expansion_word(eps, c) of top length sum(c) - (1 - eps) * r, r = len(c) // 2.
+The paper's explicit domino-free formula for it is the reference it is
+checked against in tests/test_constructor.py.
 
 The module-level sign constants exist so the test suite can flip exactly one
 and watch identities fail; they are not configuration.
@@ -25,8 +28,6 @@ from .combinat import (
     eo_count,
     index_surgery,
     kappa,
-    oe_count,
-    sigma_image,
     split_ones,
     tilings,
 )
@@ -127,44 +128,11 @@ def bz_word(c) -> AlgebraElement:
 
 
 def classical_expansion_word(eps: int, c) -> AlgebraElement:
-    """Top-weight limit of expansion_word: only domino-free B (and, in the
-    deletion term, tilings A with domino-free renumbered B) survive."""
+    """Classical limit of expansion_word: its words of the top length
+    sum(c) - (1 - eps) * r, the only terms that survive q -> 1."""
     check_eps(eps)
     c = check_pairs(c)
-    key = ("classical", eps, c)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
-    if not c:
-        out = AlgebraElement.one()
-        _cache[key] = out
-        return out
-
-    r = len(c) // 2
-    ones, gt1 = split_ones(c)
-    total = AlgebraElement.zero()
-
-    for B in _subsets(gt1):
-        if not B or eo_count(B) != 0:
-            continue
-        sub = classical_expansion_word(eps, index_surgery(c, (), B))
-        sign = (-1) ** len(B)
-        total = total + _TERM1_SIGN * sign * (sub * AlgebraElement.word("x" * len(B)))
-        if len(B) >= 2:
-            total = total - sign * (sub * _yx(len(B) - 1))
-
-    ones_set = set(ones)
-    for A in tilings(r):
-        if not set(A) <= ones_set:
-            continue
-        kap = kappa(A)
-        eo_sign = _EO_SIGN ** eo_count(A)
-        for B in _subsets(gt1):
-            if len(A) + len(B) < 2 or oe_count(sigma_image(A, B)) != 0:
-                continue
-            sub = classical_expansion_word(eps, index_surgery(c, A, B))
-            coeff = eo_sign * (-1) ** len(B)
-            total = total + coeff * (sub * _yx((1 + eps) * kap + len(B) - 1))
-
-    _cache[key] = total
-    return total
+    top = sum(c) - (1 - eps) * (len(c) // 2)
+    return AlgebraElement(
+        {w: co for w, co in expansion_word(eps, c).terms() if len(w) == top}
+    )

@@ -453,9 +453,14 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
 
     Words must lie in H1; the infinite bz model further requires H0 so that
     its sums converge.  Returns a QSeries, or a Fraction for 'classical'.
+    Only dagger_finite takes a window M, and the infinite models take no N.
     """
     if model not in Z_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose one of {Z_MODELS}")
+    if M != 0 and model != "dagger_finite":
+        raise ParameterError(f"model {model!r} takes no window M, got M={M!r}")
+    if N is not None and model in ("dagger_inf", "bz_inf"):
+        raise ParameterError(f"model {model!r} takes no N, got N={N!r}")
     u = as_element(u)
     if not u.in_space(H1):
         raise MembershipError("element must lie in H1 (words empty or y-headed)")

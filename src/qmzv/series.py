@@ -204,9 +204,14 @@ def bracket(n: int, order: int) -> QSeries:
     return QSeries(order, c)
 
 
-@lru_cache(maxsize=None)
 def inv_bracket_pow(n: int, k: int, order: int) -> QSeries:
     """1 / (1 - q^n)^k via the negative binomial expansion (integer coefficients)."""
+    # checked before the cache, which holds True and 1 as one key
+    return _inv_bracket_pow(n, k, check_count(order, "truncation order"))
+
+
+@lru_cache(maxsize=None)
+def _inv_bracket_pow(n: int, k: int, order: int) -> QSeries:
     if n <= 0 or k < 0:
         raise ParameterError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     if k == 0:
@@ -229,7 +234,7 @@ def kernel(a: int, m: int, k: int, order: int) -> QSeries:
 def _kernel(a: int, m: int, k: int, order: int) -> QSeries:
     if a > order:
         return QSeries.zero(order)
-    return inv_bracket_pow(m, k, order).shift(a)
+    return _inv_bracket_pow(m, k, order).shift(a)
 
 
 def pow_kernel(n: int, k: int, order: int) -> QSeries:

@@ -304,25 +304,35 @@ def pairs_from_bar(k: BarIndex) -> tuple:
     """
     if not k.is_admissible():
         raise AdmissibilityError(f"{k!r} ends with a bar entry")
-    out = []
-    bars = 0
-    for e in k.entries:
-        if e is BAR1:
-            bars += 1
-        else:
-            out.extend((bars + 1, e))
-            bars = 0
-    return tuple(out)
+    return _read_runs(k.entries, BAR1)
 
 
 def bar_from_pairs(c: Sequence[int]) -> BarIndex:
     """Inverse of pairs_from_bar on flattened (l_1, k_1, ..., l_r, k_r)."""
+    return BarIndex(_expand_runs(c, BAR1))
+
+
+def _expand_runs(c: Sequence[int], filler, shift: int = 0) -> tuple:
+    """(l_1, k_1, ..., l_r, k_r) -> ({filler}^(l_1 - 1), k_1 + shift, ...)."""
     c = check_pairs(c)
     entries = []
     for j in range(0, len(c), 2):
-        entries.extend([BAR1] * (c[j] - 1))
-        entries.append(c[j + 1])
-    return BarIndex(entries)
+        entries.extend([filler] * (c[j] - 1))
+        entries.append(c[j + 1] + shift)
+    return tuple(entries)
+
+
+def _read_runs(entries: tuple, filler) -> tuple:
+    """Inverse of _expand_runs at shift 0, for entries whose last is not filler."""
+    out = []
+    run = 0
+    for e in entries:
+        if e == filler:
+            run += 1
+        else:
+            out.extend((run + 1, e))
+            run = 0
+    return tuple(out)
 
 
 def check_pairs(c: Sequence[int]) -> tuple:
@@ -348,22 +358,12 @@ def pair_weight(c: Sequence[int]) -> int:
 
 def diamond_from_pairs(c: Sequence[int]) -> tuple:
     """({1}^(l_1 - 1), k_1 + 1, ...): the index fed to the diamond models."""
-    c = check_pairs(c)
-    entries = []
-    for j in range(0, len(c), 2):
-        entries.extend([1] * (c[j] - 1))
-        entries.append(c[j + 1] + 1)
-    return tuple(entries)
+    return _expand_runs(c, 1, shift=1)
 
 
 def sz_from_pairs(c: Sequence[int]) -> tuple:
     """({0}^(l_1 - 1), k_1, ...): the zero-padded index of the strict model."""
-    c = check_pairs(c)
-    entries = []
-    for j in range(0, len(c), 2):
-        entries.extend([0] * (c[j] - 1))
-        entries.append(c[j + 1])
-    return tuple(entries)
+    return _expand_runs(c, 0)
 
 
 def pairs_from_sz(k: Sequence[int]) -> tuple:
@@ -372,15 +372,7 @@ def pairs_from_sz(k: Sequence[int]) -> tuple:
     k = check_index(k, "zero-padded index", least=0)
     if k and k[-1] == 0:
         raise AdmissibilityError(f"zero-padded index {k} ends with 0")
-    out = []
-    zeros = 0
-    for e in k:
-        if e == 0:
-            zeros += 1
-        else:
-            out.extend((zeros + 1, e))
-            zeros = 0
-    return tuple(out)
+    return _read_runs(k, 0)
 
 
 def parse_index(text: str):

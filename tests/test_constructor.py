@@ -1,10 +1,21 @@
 """Tests for the recursive word constructors."""
 
+from itertools import combinations
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
 from qmzv import constructor
+from qmzv.combinat import (
+    eo_count,
+    index_surgery,
+    kappa,
+    oe_count,
+    sigma_image,
+    split_ones,
+    tilings,
+)
 from qmzv.constructor import (
     bz_word,
     classical_expansion_word,
@@ -127,9 +138,54 @@ def _length_grade(u: AlgebraElement, length: int) -> AlgebraElement:
     return AlgebraElement({w: co for w, co in u.terms() if len(w) == length})
 
 
+def _subsets(positions):
+    for n in range(len(positions) + 1):
+        yield from combinations(positions, n)
+
+
+_REFERENCE_MEMO: dict = {}
+
+
+def classical_reference(eps: int, c: tuple) -> AlgebraElement:
+    """The paper's explicit classical recursion, kept apart from the library.
+
+    Only domino-free B survive in the peeling term, and in the deletion term
+    only tilings A whose renumbered B is domino-free, each with one word of
+    top length.
+    """
+    key = (eps, c)
+    if key in _REFERENCE_MEMO:
+        return _REFERENCE_MEMO[key]
+    if not c:
+        return AlgebraElement.one()
+    ones, gt1 = split_ones(c)
+    total = AlgebraElement.zero()
+    for B in _subsets(gt1):
+        if not B or eo_count(B) != 0:
+            continue
+        sub = classical_reference(eps, index_surgery(c, (), B))
+        sign = (-1) ** len(B)
+        total = total - sign * (sub * AlgebraElement.word("x" * len(B)))
+        if len(B) >= 2:
+            total = total - sign * (sub * AlgebraElement.word("y" + "x" * (len(B) - 1)))
+    for A in tilings(len(c) // 2):
+        if not set(A) <= set(ones):
+            continue
+        kap = kappa(A)
+        for B in _subsets(gt1):
+            if len(A) + len(B) < 2 or oe_count(sigma_image(A, B)) != 0:
+                continue
+            sub = classical_reference(eps, index_surgery(c, A, B))
+            coeff = (-1) ** (eo_count(A) + len(B))
+            top = (1 + eps) * kap + len(B) - 1
+            total = total + coeff * (sub * AlgebraElement.word("y" + "x" * top))
+    _REFERENCE_MEMO[key] = total
+    return total
+
+
 def test_classical_is_top_length_grade():
     # eps=1 words carry one extra letter per surviving pair
-    for c in flat_indices(7):
+    for c in flat_indices(8):
         for eps in (0, 1):
             top = pair_weight(c) + eps * (len(c) // 2)
             full = expansion_word(eps, c)
@@ -138,6 +194,7 @@ def test_classical_is_top_length_grade():
             assert max(lengths, default=0) == top, (eps, c)
             assert _length_grade(full, top) == classical, (eps, c)
             assert all(len(w) == top for w, _ in classical.terms()), (eps, c)
+            assert classical == classical_reference(eps, c), (eps, c)
 
 
 def test_integer_coefficients():
@@ -153,6 +210,10 @@ def test_cache_is_transparent():
     assert first == again
     constructor.clear_cache()
     assert expansion_word(0, (1, 2, 2, 1)) == first
+    classical = classical_expansion_word(1, (1, 2, 2, 1))
+    constructor.clear_cache()
+    assert classical_expansion_word(1, (1, 2, 2, 1)) == classical
+    assert classical == classical_reference(1, (1, 2, 2, 1))
 
 
 def test_sign_knob_changes_output():

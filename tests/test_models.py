@@ -482,6 +482,21 @@ def test_z_map_membership():
         models.z_map("classical", "y")  # missing N
 
 
+def test_z_map_refuses_unused_windows():
+    for model, kwargs in (
+        ("bz_finite", {"N": 4, "order": 5, "M": 2}),
+        ("classical", {"N": 4, "M": 2}),
+        ("dagger_inf", {"order": 5, "M": 3}),
+        ("bz_inf", {"order": 5, "M": 1}),
+        ("dagger_inf", {"order": 5, "N": 2}),
+        ("bz_inf", {"order": 5, "N": 2}),
+    ):
+        with pytest.raises(ParameterError):
+            models.z_map(model, "yx", **kwargs)
+    with_window = models.z_map("dagger_finite", "yx", N=4, order=5, M=2)
+    assert with_window != models.z_map("dagger_finite", "yx", N=4, order=5)
+
+
 def test_z_map_linearity():
     from qmzv.words import AlgebraElement
 

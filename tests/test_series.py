@@ -89,15 +89,18 @@ def test_kernel_shifts():
 
 def test_orders_refuse_booleans():
     # bool is an int subclass; each call used to return an order-True series.
-    # kernel checks first: its cache holds True and 1 as one key
+    # kernel and inv_bracket_pow check first: their caches hold True and 1
+    # as one key
     calls = (
         lambda: QSeries.one(True),
         lambda: QSeries(True, [0, 1]),
         lambda: kernel(1, 1, 1, True),
+        lambda: inv_bracket_pow(1, 1, True),
     )
     for warm in (False, True):
         if warm:
             assert kernel(1, 1, 1, 1) == QSeries(1, [0, 1])
+            assert inv_bracket_pow(1, 1, 1) == QSeries(1, [1, 1])
         for call in calls:
             with pytest.raises(ParameterError):
                 call()
