@@ -43,7 +43,7 @@ from itertools import product
 
 from .combinat import eo_count, kappa, tilings
 from .errors import OrderMismatchError, ParameterError
-from .models import check_order, check_window, xi_value
+from .models import check_order, check_window, xi_packed
 from .report import Report
 from .series import QSeries, bracket, inv_bracket_pow, kernel, layout, pack, unpack
 from .words import check_count, check_eps
@@ -80,11 +80,10 @@ def _exponents(nvars: int, maxdeg: int) -> dict:
     return {_code(e, radix): e for e in product(range(maxdeg + 1), repeat=nvars)}
 
 
-def _pack(series: dict) -> tuple:
-    """(bits, mass, packed terms) for {code: QSeries} with int coefficients."""
-    mass = sum(map(_series_mass, series.values()))
+def _pack(coeffs: dict, mass: int) -> tuple:
+    """(bits, mass, packed terms) for {code: int coefficients} of this mass."""
     bits = _bits_for(mass)
-    return bits, mass, {code: r for code, s in series.items() if (r := pack(s.coeffs, bits))}
+    return bits, mass, {code: r for code, cs in coeffs.items() if (r := pack(cs, bits))}
 
 
 class MultiPoly:
@@ -112,7 +111,9 @@ class MultiPoly:
                     f"coefficient at {e} has order {s.order}, expected {order}"
                 )
             clean[_code(e, radix)] = s
-        self._set(nvars, maxdeg, order, *_pack(clean))
+        mass = sum(map(_series_mass, clean.values()))
+        coeffs = {code: s.coeffs for code, s in clean.items()}
+        self._set(nvars, maxdeg, order, *_pack(coeffs, mass))
 
     def _set(self, nvars, maxdeg, order, bits, mass, terms):
         for name, value in zip(self.__slots__, (nvars, maxdeg, order, bits, mass, terms)):
@@ -316,7 +317,13 @@ def _pair_cap(nvars: int, maxdeg: int, order: int, N: int, vy: int, vx: int) -> 
 
 
 def xi_genfun(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> MultiPoly:
-    """Generating function of xi values: coefficient at e is xi(eps, e+1)."""
+    """Generating function of xi values: coefficient at e is xi(eps, e+1).
+
+    Every leaf comes from one call of the models walker over all
+    (maxdeg + 1)^(2r) pair indices, which shares the slots that leaves
+    have in common at their ends.  Each leaf is decoded once and packed at
+    the width of the polynomial's exact L1 mass; the leaves are not kept in
+    the models cache."""
     check_eps(eps)
     check_window(M, N)
     check_count(r, "r")
@@ -326,12 +333,12 @@ def xi_genfun(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> Mult
 
 @lru_cache(maxsize=None)
 def _xi_genfun(eps, M, N, r, maxdeg, order):
-    # the leaves are trusted xi values, keyed straight by exponent code
-    leaves = {
-        code: xi_value(eps, tuple(x + 1 for x in e), N=N, M=M, order=order)
-        for code, e in _exponents(2 * r, maxdeg).items()
-    }
-    return MultiPoly.zero(2 * r, maxdeg, order)._make(*_pack(leaves))
+    table = _exponents(2 * r, maxdeg)
+    cs = (tuple(x + 1 for x in e) for e in table.values())
+    bits, walks = xi_packed(eps, cs, N=N, M=M, order=order)
+    leaves = {code: unpack(walk, bits, order) for code, walk in zip(table, walks)}
+    mass = sum(sum(map(abs, leaf)) for leaf in leaves.values())
+    return MultiPoly.zero(2 * r, maxdeg, order)._make(*_pack(leaves, mass))
 
 
 def boundary_scaled(gp: MultiPoly, N: int) -> MultiPoly:

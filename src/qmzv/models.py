@@ -30,10 +30,17 @@ the positions j, j+1, ... with lower bound lo.  It telescopes,
 
     S_j(lo) = S_j(lo + 1) + sum over the choices of f(lo) S_(j+1)(lo + gap),
 
-so the walker fills S_j from lo = top - 1 down to low, from the last slot to
-the first, in one loop with no recursion and no memo, skipping the lo that
-the strict steps before or after slot j leave no room for.  Each
-(slot, choice, n) builds its factor once and makes one product.
+so S_j depends only on the suffix of slots j, j+1, ..., and the walker fills
+it from lo = top - 1 down, from the last slot to the first.  It takes many
+slot tuples at once and keeps their suffixes as a trie keyed by slot, from
+the last slot to the first; a single model is the call with one tuple.
+Depth first from the empty tail, on an explicit stack with no recursion, it
+fills each distinct suffix's S once, for lo from its last value,
+top - 1 - (the strict steps of the suffix's slots but its last), down to its
+first, low + (the fewest strict steps before it in any tuple through it).
+Above last S is zero, and below first no tuple reads it.  Each call keeps a
+table of the kernels (a, m, k) it has built, dropped when the call returns,
+so a kernel shared by slots, suffixes and tuples is built once per call.
 
 The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
 the classical limits, where every factor becomes 1/x^k, and integer q-series
@@ -45,8 +52,9 @@ mask.  The walk decodes exactly while every coefficient lies below
 norm, and each variable takes at most top - low values, so no suffix
 coefficient exceeds prod_j (top - low) w_j * C(order + K, K), with w_j the
 sum over slot j's choices of their numerators' L1 norms (1 without one) and
-K the sum of the largest k per slot.  zeta_poly clears its numerators'
-denominators first and divides its walk once at the end.
+K the sum of the largest k per slot.  A call with many tuples walks at the
+largest of their widths, which holds every suffix of each.  zeta_poly clears
+its numerators' denominators first and divides its walk once at the end.
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -58,6 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm, prod
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, MembershipError, ParameterError
@@ -129,27 +138,42 @@ class _PackedValues:
         return value & self.mask
 
 
-def _packed_bits(slots, low, top, order) -> int:
-    """Bits per coefficient that hold every suffix value of a walk.
+def _packed_bits(tuples, low, top, order) -> int:
+    """Bits per coefficient that hold every suffix value of the walks of
+    these slot tuples.
 
-    2^(bits - 1) lies above prod_j max(top - low, 1) max(w_j, 1) * C(order + K, K),
-    the bound of the module docstring; no factor is below one, so it also
-    bounds every shorter suffix and the empty tail, whose value is one."""
-    bound, K, width = 1, 0, max(top - low, 1)
-    for slot in slots:
-        weight = k = 0
-        for choice in slot:
-            weight += 1 if choice.poly is None else sum(map(abs, choice.poly))
-            k = max(k, choice.k)
-        bound *= width * max(weight, 1)
-        K += k
-    return (bound * comb(order + K, K)).bit_length() + 1
+    For each tuple 2^(bits - 1) lies above
+    prod_j max(top - low, 1) max(w_j, 1) * C(order + K, K), the bound of the
+    module docstring; no factor is below one, so it also bounds every
+    shorter suffix and the empty tail, whose value is one (two bits)."""
+    width, bits = max(top - low, 1), 2
+    factors = {}  # slot -> (its factor of the bound, its largest k)
+    for slots in tuples:
+        bound, K = 1, 0
+        for slot in slots:
+            factor = factors.get(slot)
+            if factor is None:
+                weight = k = 0
+                for choice in slot:
+                    weight += 1 if choice.poly is None else sum(map(abs, choice.poly))
+                    k = max(k, choice.k)
+                factor = factors[slot] = width * max(weight, 1), k
+            bound *= factor[0]
+            K += factor[1]
+        bits = max(bits, (bound * comb(order + K, K)).bit_length() + 1)
+    return bits
+
+
+def _packed_walk(tuples, low, top, order) -> tuple:
+    """(bits, walks): the walk of every slot tuple on the packed ring, at the
+    one width that holds them all."""
+    bits = _packed_bits(tuples, low, top, order)
+    return bits, _walk(tuples, low, top, _PackedValues(order, bits))
 
 
 def _series_walk(slots, low, top, order) -> QSeries:
-    """The walk on the packed ring, unpacked to a QSeries."""
-    bits = _packed_bits(slots, low, top, order)
-    walk = _walk(slots, low, top, _PackedValues(order, bits))
+    """The walk of one slot tuple on the packed ring, unpacked to a QSeries."""
+    bits, (walk,) = _packed_walk((slots,), low, top, order)
     return QSeries(order, unpack(walk, bits, order))
 
 
@@ -162,10 +186,13 @@ class _PointValues:
         self.zero = Fraction(0)
 
     def kernel(self, a, m, k):
-        b = 1 - self.q**m
+        # with q = n/d: q^a / (1-q^m)^k = n^a d^(mk) / (d^a (d^m - n^m)^k),
+        # one Fraction built from integer powers
+        n, d = self.q.numerator, self.q.denominator
+        b = d**m - n**m
         if b == 0:
             raise ParameterError(f"1 - q^{m} vanishes at q = {self.q}")
-        return self.q**a / b**k
+        return Fraction(n**a * d ** (m * k), d**a * b**k)
 
 
 class _ClassicalValues:
@@ -200,31 +227,71 @@ class _Choice(NamedTuple):
     poly: tuple | None = None
 
 
-def _walk(slots, low, top, vals):
-    """Sum over low <= n_1 (<= or <) n_2 ... < top of the slot factors, by
-    the bottom-up telescoping of the suffix sums S_j(lo) (module docstring)."""
-    kern, trunc, zero = vals.kernel, vals.trunc, vals.zero
+_GAP = attrgetter("gap")
+
+
+def _walk(tuples, low, top, vals) -> list:
+    """For each slot tuple, the sum over low <= n_1 (<= or <) n_2 ... < top of
+    its slot factors, by the bottom-up telescoping of the suffix sums S_j(lo)
+    over the trie of the tuples' suffixes (module docstring)."""
+    kern, trunc, zero, one = vals.kernel, vals.trunc, vals.zero, vals.one
     width = top - low + 1
-    # strict steps confine n_j to [low + steps before j, top - 1 - steps from j
-    # to the last slot]; above that S_j is zero, below it is never read
-    steps = [min(choice.gap for choice in slot) for slot in slots]
-    below = [vals.one] * width  # S_(j+1)(lo) at below[lo - low]
-    for j in reversed(range(len(slots))):
+    # A trie node is one suffix: [children by slot, last n, first n, tuples
+    # it completes, strict step of its slot].  Strict steps confine n_j to
+    # [low + steps before j, top - 1 - steps from j to the last slot], so a
+    # node's last n is fixed by its suffix, and its first n is the least
+    # over the tuples through it.
+    root = [{}, top - 1, low, [], 0]
+    for i, slots in enumerate(tuples):
+        path, node = [], root
+        for slot in reversed(slots):
+            child = node[0].get(slot)
+            if child is None:
+                step = min(map(_GAP, slot))
+                last = top - 1 if node is root else node[1] - step
+                child = node[0][slot] = [{}, last, top, [], step]
+            path.append(child)
+            node = child
+        node[3].append(i)
+        first = low
+        for node in reversed(path):
+            if first < node[2]:
+                node[2] = first
+            first += node[4]
+    out = [one] * len(tuples)  # the empty tuple sums to one
+    kernels = {}  # (a, m, k) -> kernel value, for this call only
+    get = kernels.get
+    # depth first from the empty tail: above last S_j is zero, below first it
+    # is never read
+    stack = [(slot, child, [one] * width) for slot, child in root[0].items()]
+    while stack:
+        slot, (children, last, first, ends, _), below = stack.pop()
         here = [zero] * width  # S_j(top) is the empty sum
         total = zero
-        last, first = top - 1 - sum(steps[j:-1]), low + sum(steps[:j])
         for n in range(last, first - 1, -1):
-            for s, k, gap, reflected, poly in slots[j]:
+            for s, k, gap, reflected, poly in slot:
                 x = top - n if reflected else n
                 if poly is None:
-                    f = kern(s * x, x, k)
+                    key = (s * x, x, k)
+                    f = get(key)
+                    if f is None:
+                        f = kernels[key] = kern(*key)
                 else:
-                    terms = (c * kern(t * x, x, k) for t, c in enumerate(poly) if c)
-                    f = sum(terms, zero)
+                    f = zero
+                    for t, c in enumerate(poly):
+                        if c:
+                            key = (t * x, x, k)
+                            g = get(key)
+                            if g is None:
+                                g = kernels[key] = kern(*key)
+                            f = f + c * g
                 total = total + f * below[n - low + gap]
             here[n - low] = total = trunc(total)
-        below = here
-    return below[0]
+        for i in ends:
+            out[i] = here[0]
+        for slot, child in children.items():
+            stack.append((slot, child, here))
+    return out
 
 
 _BAR = _Choice(0, 1, gap=0, reflected=True)  # 1/(1-q^(top-n)), weak tie
@@ -282,7 +349,7 @@ def _model_sum(family, entries, low, top, ring, param):
     slots = _SLOTS[family](entries)
     if ring is _PackedValues:
         return _series_walk(slots, low, top, param)
-    return _walk(slots, low, top, ring(param))
+    return _walk((slots,), low, top, ring(param))[0]
 
 
 # -- finite models ---------------------------------------------------------------
@@ -312,9 +379,8 @@ _FINITE = {
 }
 
 
-def _finite(model: str, k, N: int, M: int, ring, param):
-    """A finite model on the window (M, N) in one value ring, after the
-    model's index, window and M rules."""
+def _finite_entries(model: str, k, N: int, M: int) -> tuple:
+    """A finite model's walker entries, after its index, window and M rules."""
     if model not in _FINITE:
         raise ParameterError(f"unknown model {model!r}; choose one of {tuple(_FINITE)}")
     check, takes_M = _FINITE[model]
@@ -322,7 +388,12 @@ def _finite(model: str, k, N: int, M: int, ring, param):
     check_window(M, N)
     if M and not takes_M:
         raise ParameterError(f"the {model} model is only defined with M = 0")
-    return _model_sum(model, entries, M + 1, N, ring, param)
+    return entries
+
+
+def _finite(model: str, k, N: int, M: int, ring, param):
+    """A finite model on the window (M, N) in one value ring."""
+    return _model_sum(model, _finite_entries(model, k, N, M), M + 1, N, ring, param)
 
 
 def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -356,6 +427,19 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
     if check_eps(eps) == 0:
         return zeta_dagger_finite(bar_from_pairs(c), N=N, order=order, M=M)
     return zeta_diamond_finite("dagger", diamond_from_pairs(c), N=N, order=order, M=M)
+
+
+def xi_packed(eps: int, cs, *, N: int, order: int, M: int = 0) -> tuple:
+    """(bits, walks): xi(eps, c) for every pair index c in cs, after the checks
+    of xi_value, as packed residues of one width from one walk of the trie."""
+    if check_eps(eps) == 0:
+        model, index = "dagger", bar_from_pairs
+    else:
+        model, index = "diamond-dagger", diamond_from_pairs
+    check_order(order)
+    family = _SLOTS[model]
+    tuples = [family(_finite_entries(model, index(c), N, M)) for c in cs]
+    return _packed_walk(tuples, M + 1, N, order)
 
 
 # -- infinite models --------------------------------------------------------------
@@ -453,7 +537,8 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
 
     Words must lie in H1; the infinite bz model further requires H0 so that
     its sums converge.  Returns a QSeries, or a Fraction for 'classical'.
-    Only dagger_finite takes a window M, and the infinite models take no N.
+    Only dagger_finite takes a window M, the infinite models take no N, and
+    'classical' takes no truncation order.
     """
     if model not in Z_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose one of {Z_MODELS}")
@@ -461,6 +546,8 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
         raise ParameterError(f"model {model!r} takes no window M, got M={M!r}")
     if N is not None and model in ("dagger_inf", "bz_inf"):
         raise ParameterError(f"model {model!r} takes no N, got N={N!r}")
+    if order is not None and model == "classical":
+        raise ParameterError(f"model 'classical' takes no truncation order, got order={order!r}")
     u = as_element(u)
     if not u.in_space(H1):
         raise MembershipError("element must lie in H1 (words empty or y-headed)")

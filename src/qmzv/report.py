@@ -20,7 +20,7 @@ from .series import QSeries
 class Report:
     identity: str
     params: dict
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail", or "error" (the check raised); only "pass" passes
     witness: dict | None = None
 
     @property
@@ -53,7 +53,7 @@ def reports_to_json(reports) -> str:
 
 def format_report(r: Report) -> str:
     params = " ".join(f"{k}={v}" for k, v in _jsonify(r.params).items())
-    head = f"{'PASS' if r.passed else 'FAIL'} {r.identity} {params}".rstrip()
+    head = f"{r.status.upper()} {r.identity} {params}".rstrip()
     if r.witness is None:
         return head
     detail = " ".join(f"{k}={v}" for k, v in _jsonify(r.witness).items())

@@ -2,9 +2,10 @@
 
 Each verifier compares two independently computed sides and returns a Report;
 run_suite enumerates all instances inside a SuiteConfig's bounds.  Failures
-are data, not exceptions, and carry a coefficient-level witness.  The case
-list is generated in a fixed order and run serially in that order, so
-identical configs produce byte-identical JSON.
+are data, not exceptions, and carry a coefficient-level witness; a case whose
+check raises becomes an "error" report naming the exception, and the run goes
+on.  The case list is generated in a fixed order and run serially in that
+order, so identical configs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -404,12 +405,23 @@ def _constructor_stats(cfg: SuiteConfig) -> dict:
     return {"max_abs_coefficient": max_coeff, "max_term_count": max_terms}
 
 
+def _run_case(name: str, args: tuple) -> Report:
+    """One case's report; an exception in its check becomes an error report."""
+    identity = IDENTITIES[name]
+    try:
+        return identity.check(*args)
+    except Exception as exc:  # one broken case must not end the run
+        params = dict(zip(identity.params, args))
+        return Report(name, params, "error", {"type": type(exc).__name__, "message": str(exc)})
+
+
 def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
     """Run every case, merge reports in enumeration order, summarize.
 
-    Returns (reports, summary).  Failures are carried as data; the summary's
-    "failed" count is what drives exit status upstream.  Observed constructor
-    coefficient statistics are recorded, never asserted.
+    Returns (reports, summary).  Failures and errors are carried as data;
+    the summary's "failed" count, which includes the errors, is what drives
+    exit status upstream.  Observed constructor coefficient statistics are
+    recorded, never asserted.
     """
     if filter_identity is not None and filter_identity not in IDENTITIES:
         raise ParameterError(
@@ -418,7 +430,7 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
     cases = _enumerate_cases(cfg)
     if filter_identity is not None:
         cases = [(name, args) for name, args in cases if name == filter_identity]
-    reports = [IDENTITIES[name].check(*args) for name, args in cases]
+    reports = [_run_case(name, args) for name, args in cases]
 
     by_identity: dict[str, dict] = {}
     for r in reports:

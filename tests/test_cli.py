@@ -241,6 +241,20 @@ def test_suite_filter(capsys, tmp_path):
     assert {r["identity"] for r in json.loads(out)} == {"classical"}
 
 
+def test_suite_case_error_exits_3(capsys, tmp_path, monkeypatch):
+    def broken(c, N):
+        raise ZeroDivisionError("broken check")
+
+    monkeypatch.setitem(IDENTITIES, "classical", IDENTITIES["classical"]._replace(check=broken))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_weight": 2, "max_N": 2, "order": 6, "max_r": 0}))
+    code, out, err = run(capsys, "suite", "--config", str(cfg), "--filter", "classical")
+    doc = json.loads(out)
+    assert code == 3 and f"{len(doc)} failed" in err
+    assert all(r["status"] == "error" for r in doc)
+    assert doc[0]["witness"] == {"type": "ZeroDivisionError", "message": "broken check"}
+
+
 def test_unknown_suite_filter_is_usage_error(capsys):
     code, out, err = run(capsys, "suite", "--config", "default", "--filter", "bogus")
     assert code == 2 and out == "" and "bogus" in err

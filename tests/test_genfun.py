@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from qmzv import genfun, models
 from qmzv.errors import OrderMismatchError, ParameterError
 from qmzv.genfun import (
     MultiPoly,
@@ -122,15 +123,24 @@ def test_xi_genfun_coefficients_match_fresh_evaluations():
 @pytest.mark.parametrize("eps", (0, 1))
 def test_xi_genfun_matches_public_constructor(eps):
     # xi_genfun packs its leaves without the constructor's per-term checks
-    for r, maxdeg in product(range(3), range(3)):
+    for M, r, maxdeg in product((0, 1), range(4), range(3)):
         leaves = {
-            e: xi_value(eps, tuple(x + 1 for x in e), N=4, M=1, order=ORDER)
+            e: xi_value(eps, tuple(x + 1 for x in e), N=4, M=M, order=ORDER)
             for e in product(range(maxdeg + 1), repeat=2 * r)
         }
         want = MultiPoly(2 * r, maxdeg, ORDER, leaves)
-        got = xi_genfun(eps, 1, 4, r, maxdeg, ORDER)
-        assert got == want, (r, maxdeg)
+        got = xi_genfun(eps, M, 4, r, maxdeg, ORDER)
+        assert got == want, (M, r, maxdeg)
         assert (got.bits, got.mass, got.terms()) == (want.bits, want.mass, want.terms())
+
+
+def test_xi_genfun_leaves_the_model_cache_alone():
+    # its leaves come from one walk and are not kept as single models
+    genfun._xi_genfun.cache_clear()
+    models._model_sum.cache_clear()
+    for eps in (0, 1):
+        xi_genfun(eps, 1, 5, 2, 2, ORDER)
+    assert models._model_sum.cache_info().currsize == 0
 
 
 def test_xi_genfun_parameter_errors():

@@ -14,7 +14,15 @@ from math import lcm
 import pytest
 
 from qmzv.errors import AdmissibilityError, MembershipError, ParameterError
-from qmzv.series import QSeries, bracket, inv_bracket_pow, invert_unit, kernel, pow_kernel
+from qmzv.series import (
+    QSeries,
+    bracket,
+    inv_bracket_pow,
+    invert_unit,
+    kernel,
+    pow_kernel,
+    unpack,
+)
 from qmzv.words import (
     BAR1,
     BarIndex,
@@ -442,7 +450,7 @@ def test_poly_model():
         models.zeta_poly((1,), None, order=5)
     # signed and rational numerators, against the walk on the dense ring
     for k, polys in POLY_POOL:
-        dense = models._walk(poly_slots(k, polys), 1, 13, SeriesValues(12))
+        dense = models._walk((poly_slots(k, polys),), 1, 13, SeriesValues(12))[0]
         assert models.zeta_poly(k, polys, order=12) == dense, (k, polys)
 
 
@@ -490,6 +498,7 @@ def test_z_map_refuses_unused_windows():
         ("bz_inf", {"order": 5, "M": 1}),
         ("dagger_inf", {"order": 5, "N": 2}),
         ("bz_inf", {"order": 5, "N": 2}),
+        ("classical", {"N": 5, "order": 3}),
     ):
         with pytest.raises(ParameterError):
             models.z_map(model, "yx", **kwargs)
@@ -812,7 +821,7 @@ def oracle_walks():
 def packed_and_dense(slots, low, top, order):
     """The walk on the packed ring and on the dense reference ring."""
     packed = models._series_walk(slots, low, top, order)
-    return packed, models._walk(slots, low, top, SeriesValues(order))
+    return packed, models._walk((slots,), low, top, SeriesValues(order))[0]
 
 
 def brute_suffixes(slots, low, top, order):
@@ -875,11 +884,57 @@ def test_packed_bits_bound_every_suffix():
     # 2^(bits-1) lies above |c| for every coefficient c of every suffix S_j(lo)
     for walk in oracle_walks():
         slots, low, top, order = walk
-        bits = models._packed_bits(slots, low, top, order)
+        bits = models._packed_bits((slots,), low, top, order)
         suffixes = brute_suffixes(slots, low, top, order)
         assert suffixes[0, low] == packed_and_dense(*walk)[0], walk
         biggest = max(max(map(abs, s.coeffs)) for s in suffixes.values())
         assert biggest < 2 ** (bits - 1), walk
+
+
+# -- the suffix trie --------------------------------------------------------------
+
+
+def trie_calls():
+    """(tuples, low, top, order) of many-tuple walks whose tuples share
+    suffixes: diamond slots with two choices, reflected and barred slots,
+    numerators, windows with M > 0, a repeated tuple, the empty tuple, and
+    families mixed in one call."""
+    slots = models._SLOTS
+    diamond = [slots["diamond-dagger"](k) for k in DIAMOND_POOL]
+    diamond += [slots["diamond-dagger"](k) for k in product((1, 2), (1, 2), (2, 3))]
+    for M in (0, 2):
+        yield diamond + [()], M + 1, 6, 8
+    yield [slots["diamond-bz"](k) for k in product((1, 2), (1, 3), (2,))], 1, 6, 8
+    reflected = [slots["reflected"](k) for k in product((1, 2), repeat=2)]
+    yield reflected + [slots["reflected"]((2,)), reflected[0]], 1, 5, 8
+    bars = [slots["dagger"](bar_from_pairs(c).entries) for c in product((1, 2), repeat=4)]
+    for M in (0, 1, 3):
+        yield bars, M + 1, 7, 8
+    tail = poly_slots((2,), [(0, -1, 2)])
+    heads = [poly_slots(k, cs) for k, cs in (((1,), [(3,)]), ((2,), [(1, -2, 1)]),
+                                            ((1, 1), [(-1,), (2, -3)]))]
+    yield [head + tail for head in heads] + [tail] + heads, 1, 7, 6
+    yield diamond[:4] + reflected[:2] + bars[:4], 1, 6, 8
+
+
+def test_trie_grids_share_suffixes():
+    for tuples, _, _, _ in trie_calls():
+        suffixes = {t[j:] for t in tuples for j in range(len(t))}
+        assert len(suffixes) < sum(map(len, tuples)), tuples
+
+
+def test_trie_walk_matches_one_tuple_walks():
+    # every value ring: the dense reference, two rational points, the classical limit
+    for tuples, low, top, order in trie_calls():
+        rings = (SeriesValues(order), models._PointValues(Fraction(2)),
+                 models._PointValues(Fraction(-1, 3)), models._ClassicalValues())
+        for vals in rings:
+            want = [models._walk((t,), low, top, vals)[0] for t in tuples]
+            assert models._walk(tuples, low, top, vals) == want, (tuples, low, vals)
+        # and the packed ring at the one width of the call
+        bits, walks = models._packed_walk(tuples, low, top, order)
+        got = [QSeries(order, unpack(w, bits, order)) for w in walks]
+        assert got == [models._walk((t,), low, top, rings[0])[0] for t in tuples]
 
 
 def stack_depth():
@@ -890,18 +945,25 @@ def stack_depth():
 
 
 def test_walker_has_no_recursion_cliff():
-    # the walker is one loop, so a walk 400 values long or 12 slots deep
-    # runs with the recursion limit a few frames above the caller
+    # the walker keeps its trie on a stack, so a walk 400 values long, 12
+    # slots deep, or of many deep tuples sharing suffixes runs with the
+    # recursion limit a few frames above the caller
+    many = [models._SLOTS["bz"](k) for k in ((1,) * 11 + (2,), (2,) * 12, (1,) * 6 + (2,) * 6,
+                                            (3,) + (1,) * 10 + (2,))]
+    long = [models._SLOTS["dagger-inf"](k) for k in ((2, 3, 2), (3, 3, 2), (BAR1, 3, 2))]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 40)
     try:
         deep = models.zeta_infinite("dagger", BarIndex((2, 3, 2)), order=400)
         wide = models.zeta_bz_finite((1,) * 11 + (2,), N=60, order=40)
+        many_walks = models._walk(many, 1, 60, SeriesValues(40))
+        bits, long_walks = models._packed_walk(long, 1, 401, 400)
     finally:
         sys.setrecursionlimit(limit)
-    slots = models._SLOTS["dagger-inf"]((2, 3, 2))
-    assert deep == models._walk(slots, 1, 401, SeriesValues(400))
+    assert deep == models._walk((long[0],), 1, 401, SeriesValues(400))[0]
     # the lowest term comes from the one point n_j = j alone
     assert wide.valuation() == 12 and wide.coeff(12) == 1
-    slots = models._SLOTS["bz"]((1,) * 11 + (2,))
-    assert wide == models._walk(slots, 1, 60, SeriesValues(40))
+    assert wide == many_walks[0]
+    assert many_walks == [models._walk((t,), 1, 60, SeriesValues(40))[0] for t in many]
+    for walk, slots in zip(long_walks, long):
+        assert QSeries(400, unpack(walk, bits, 400)) == models._series_walk(slots, 1, 401, 400)

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from qmzv import constructor
+from qmzv import constructor, verify
 from qmzv.errors import ParameterError
 from qmzv.models import z_map
-from qmzv.report import reports_to_json
+from qmzv.report import format_report, reports_to_json
 from qmzv.verify import (
     IDENTITIES,
     SuiteConfig,
@@ -198,3 +198,23 @@ def test_summary_structure_json_safe():
     stats = summary["constructor_stats"]
     assert stats["max_abs_coefficient"] >= 1
     assert stats["max_term_count"] >= 1
+
+
+def test_suite_reports_an_exception_and_runs_on(monkeypatch):
+    # a case whose check raises becomes an error report; the run finishes
+    def broken(c, N):
+        if N == 2:
+            raise ZeroDivisionError("no room at N = 2")
+        return verify_classical(c, N)
+
+    monkeypatch.setitem(IDENTITIES, "classical", verify.Identity(("c", "N"), broken))
+    reports, summary = run_suite(SMALL, filter_identity="classical")
+    errors = [r for r in reports if r.status == "error"]
+    assert errors and all(r.params["N"] == 2 and not r.passed for r in errors)
+    assert errors[0].witness == {"type": "ZeroDivisionError", "message": "no room at N = 2"}
+    assert format_report(errors[0]).startswith("ERROR classical c=")
+    assert summary["cases"] == len(reports) > len(errors)
+    assert summary["failed"] == len(errors) == summary["identities"]["classical"]["failed"]
+    assert sum(r.passed for r in reports) == summary["passed"] == len(reports) - len(errors)
+    doc = json.loads(reports_to_json(errors))[0]
+    assert doc["status"] == "error" and doc["witness"]["type"] == "ZeroDivisionError"
