@@ -22,11 +22,8 @@ from .models import (
     classical_zeta_diamond,
     eval_at_rational_q,
     xi_value,
-    zeta_bz_finite,
-    zeta_dagger_finite,
-    zeta_diamond_finite,
+    zeta_finite,
     zeta_infinite,
-    zeta_reflected_blocks,
 )
 from .report import format_report, reports_to_json
 from .series import format_qseries, series_to_json
@@ -148,18 +145,8 @@ def _cmd_eval(args) -> int:
         if model not in ("dagger", "bz", "sz"):
             raise ParameterError(f"{model} has no infinite form; give --N")
         s = zeta_infinite(model, k, order=args.order)
-    elif model == "dagger":
-        s = zeta_dagger_finite(k, N=args.N, order=args.order, M=args.M)
-    elif model == "bz":
-        s = zeta_bz_finite(k, N=args.N, order=args.order)
-    elif model == "diamond-dagger":
-        s = zeta_diamond_finite("dagger", k, N=args.N, order=args.order, M=args.M)
-    elif model == "diamond-bz":
-        s = zeta_diamond_finite("bz", k, N=args.N, order=args.order)
-    elif model == "reflected":
-        s = zeta_reflected_blocks(k, N=args.N, order=args.order)
     else:
-        raise ParameterError(f"{model} is an infinite-sum model; omit --N")
+        s = zeta_finite(model, k, N=args.N, order=args.order, M=args.M)
     _print_series(s, args.json)
     return 0
 

@@ -9,7 +9,9 @@ the even-odd domino counts and a binomial redistribution.  The classical
 (q -> 1) version is not a second recursion: it keeps the words of
 expansion_word(eps, c) of top length sum(c) - (1 - eps) * r, r = len(c) // 2.
 The paper's explicit domino-free formula for it is the reference it is
-checked against in tests/test_constructor.py.
+checked against in tests/test_constructor.py.  expansion_word checks its
+arguments once; the recursion memoizes every expansion in one lru_cache,
+which clear_cache() empties.
 
 The module-level sign constants exist so the test suite can flip exactly one
 and watch identities fail; they are not configuration.
@@ -17,6 +19,7 @@ and watch identities fail; they are not configuration.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -36,11 +39,9 @@ _TERM1_SIGN = -1
 _EO_SIGN = -1
 _D_PREFACTOR_SIGN = -1
 
-_cache: dict = {}
-
 
 def clear_cache():
-    _cache.clear()
+    _expansion.cache_clear()
 
 
 def reverse_pairs(c) -> tuple:
@@ -71,16 +72,15 @@ def _signed_range(a: int, b: int) -> AlgebraElement:
 def expansion_word(eps: int, c) -> AlgebraElement:
     """The recursive expansion; eps=0 targets the bar model, eps=1 the
     boundary-augmented one."""
-    check_eps(eps)
-    c = check_pairs(c)
-    key = (eps, c)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
+    return _expansion(check_eps(eps), check_pairs(c))
+
+
+@lru_cache(maxsize=None)
+def _expansion(eps: int, c: tuple) -> AlgebraElement:
+    # the recursion skips expansion_word's checks: index_surgery builds only
+    # valid pair tuples
     if not c:
-        out = AlgebraElement.one()
-        _cache[key] = out
-        return out
+        return AlgebraElement.one()
 
     r = len(c) // 2
     ones, gt1 = split_ones(c)
@@ -89,7 +89,7 @@ def expansion_word(eps: int, c) -> AlgebraElement:
     for B in _subsets(gt1):
         if not B:
             continue
-        sub = expansion_word(eps, index_surgery(c, (), B))
+        sub = _expansion(eps, index_surgery(c, (), B))
         sign = (-1) ** len(B)
         a, b = alpha(B), beta(B)
         total = total + _TERM1_SIGN * sign * (sub * AlgebraElement.word("x" * a))
@@ -102,7 +102,7 @@ def expansion_word(eps: int, c) -> AlgebraElement:
         kap = kappa(A)
         eo_sign = _EO_SIGN ** eo_count(A)
         for B in _subsets(gt1):
-            sub = expansion_word(eps, index_surgery(c, A, B))
+            sub = _expansion(eps, index_surgery(c, A, B))
             tail = beta_after(A, B)
             for h in range(1, kap + 1):
                 coeff = (
@@ -111,8 +111,6 @@ def expansion_word(eps: int, c) -> AlgebraElement:
                     * comb(kap - 1, h - 1)
                 )
                 total = total + coeff * (sub * _yx(h + eps * kap + tail - 1))
-
-    _cache[key] = total
     return total
 
 

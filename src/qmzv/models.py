@@ -56,6 +56,13 @@ K the sum of the largest k per slot.  A call with many tuples walks at the
 largest of their widths, which holds every suffix of each.  zeta_poly clears
 its numerators' denominators first and divides its walk once at the end.
 
+The finite and infinite entry points check their arguments and call
+_model_sum, one cached walk per family, index, range and ring.  The table
+_FINITE alone lists the finite models, with each one's index check and M
+rule.  The word maps z_map and
+z_map_at_q check the model, the element, the window, the order and q once
+per call and then walk the index of every word of the element.
+
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
 enumerated range contributes nothing below the truncation order.
@@ -379,21 +386,34 @@ _FINITE = {
 }
 
 
+def _finite_window(model: str, N: int, M: int) -> tuple:
+    """The walker range (low, top) of a finite model's window (M, N), after
+    the window and M rules."""
+    check_window(M, N)
+    if M and not _FINITE[model][1]:
+        raise ParameterError(f"the {model} model is only defined with M = 0")
+    return M + 1, N
+
+
 def _finite_entries(model: str, k, N: int, M: int) -> tuple:
     """A finite model's walker entries, after its index, window and M rules."""
     if model not in _FINITE:
         raise ParameterError(f"unknown model {model!r}; choose one of {tuple(_FINITE)}")
-    check, takes_M = _FINITE[model]
-    entries = check(k)
-    check_window(M, N)
-    if M and not takes_M:
-        raise ParameterError(f"the {model} model is only defined with M = 0")
+    entries = _FINITE[model][0](k)
+    _finite_window(model, N, M)
     return entries
 
 
 def _finite(model: str, k, N: int, M: int, ring, param):
     """A finite model on the window (M, N) in one value ring."""
     return _model_sum(model, _finite_entries(model, k, N, M), M + 1, N, ring, param)
+
+
+def zeta_finite(model: str, k, *, N: int, order: int, M: int = 0) -> QSeries:
+    """A finite model ('dagger', 'bz', 'diamond-dagger', 'diamond-bz' or
+    'reflected') as a truncated q-series; the series twin of
+    eval_at_rational_q."""
+    return _finite(model, k, N, M, _PackedValues, check_order(order))
 
 
 def zeta_dagger_finite(k, *, N: int, order: int, M: int = 0) -> QSeries:
@@ -528,7 +548,24 @@ def as_element(u) -> AlgebraElement:
     raise ParameterError(f"expected a word or an element, got {u!r}")
 
 
-Z_MODELS = ("dagger_finite", "bz_finite", "dagger_inf", "bz_inf", "classical")
+# Z-map model -> walker family; the finite ones are rows of _FINITE
+_Z_FAMILIES = {
+    "dagger_finite": "dagger",
+    "bz_finite": "bz",
+    "dagger_inf": "dagger-inf",
+    "bz_inf": "bz",
+    "classical": "bz",
+}
+Z_MODELS = tuple(_Z_FAMILIES)
+
+
+def _word_sum(u: AlgebraElement, total, family, low, top, ring, param):
+    """total plus sum c * (the model value of w) over the terms c w of u, whose
+    checks the caller ran once.  Every index of a word in H1 has entries >= 1,
+    which every family takes as it is."""
+    for w, c in u.terms():
+        total = total + c * _model_sum(family, index_from_word(w), low, top, ring, param)
+    return total
 
 
 def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
@@ -538,13 +575,15 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
     Words must lie in H1; the infinite bz model further requires H0 so that
     its sums converge.  Returns a QSeries, or a Fraction for 'classical'.
     Only dagger_finite takes a window M, the infinite models take no N, and
-    'classical' takes no truncation order.
+    'classical' takes no truncation order.  The model, the element, the
+    window and the order are checked once per call, the zero element too.
     """
     if model not in Z_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose one of {Z_MODELS}")
     if M != 0 and model != "dagger_finite":
         raise ParameterError(f"model {model!r} takes no window M, got M={M!r}")
-    if N is not None and model in ("dagger_inf", "bz_inf"):
+    infinite = model in ("dagger_inf", "bz_inf")
+    if N is not None and infinite:
         raise ParameterError(f"model {model!r} takes no N, got N={N!r}")
     if order is not None and model == "classical":
         raise ParameterError(f"model 'classical' takes no truncation order, got order={order!r}")
@@ -554,29 +593,14 @@ def z_map(model: str, u, *, N: int | None = None, order: int | None = None,
     if model == "bz_inf" and not u.in_space(H0):
         raise MembershipError("infinite bz evaluation needs H0 (words ending in x)")
     if model == "classical":
-        if N is None:
-            raise ParameterError("classical evaluation needs N")
-        return sum(
-            (c * classical_zeta(index_from_word(w), N) for w, c in u.terms()),
-            Fraction(0),
-        )
-    if order is None:
+        ring, param, total = _ClassicalValues, None, Fraction(0)
+    elif order is None:
         raise ParameterError(f"model {model!r} needs a truncation order")
-    if model in ("dagger_finite", "bz_finite") and N is None:
-        raise ParameterError(f"model {model!r} needs N")
-    total = QSeries.zero(order)
-    for w, c in u.terms():
-        k = index_from_word(w)
-        if model == "dagger_finite":
-            val = zeta_dagger_finite(BarIndex(k), N=N, order=order, M=M)
-        elif model == "bz_finite":
-            val = zeta_bz_finite(k, N=N, order=order)
-        elif model == "dagger_inf":
-            val = zeta_infinite("dagger", BarIndex(k), order=order)
-        else:
-            val = zeta_infinite("bz", k, order=order)
-        total = total + c * val
-    return total
+    else:
+        ring, param, total = _PackedValues, check_order(order), QSeries.zero(order)
+    family = _Z_FAMILIES[model]
+    low, top = (1, order + 1) if infinite else _finite_window(family, N, M)
+    return _word_sum(u, total, family, low, top, ring, param)
 
 
 # -- rational points ----------------------------------------------------------------
@@ -596,10 +620,8 @@ def z_map_at_q(model: str, u, q, *, N: int, M: int = 0) -> Fraction:
     if not u.in_space(H1):
         raise MembershipError("element must lie in H1 (words empty or y-headed)")
     q = check_q_sample(q)
-    total = Fraction(0)
-    for w, c in u.terms():
-        total += c * eval_at_rational_q(model, index_from_word(w), q, N=N, M=M)
-    return total
+    low, top = _finite_window(model, N, M)
+    return _word_sum(u, Fraction(0), model, low, top, _PointValues, q)
 
 
 def verify_bridge(w: str, N: int, q) -> Report:

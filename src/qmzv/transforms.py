@@ -18,7 +18,6 @@ from .models import zeta_infinite
 from .report import Report, compare_series
 from .series import QSeries
 from .words import (
-    BarIndex,
     bar_from_pairs,
     check_index,
     interleave_pairs,
@@ -62,23 +61,19 @@ def expand(direction: str, with_bars: bool, l, k) -> list:
     """Symbolic expansion of one model's value in the other model's values.
 
     Returns (coefficient, target index) pairs.  Targets of SZ_from_dagger
-    with bars are BarIndex values; every other target is a plain tuple.
-    With with_bars false, l must be omitted (the all-ones specialization).
+    are BarIndex values, targets of dagger_from_SZ plain tuples.  With
+    with_bars false, l must be omitted: every block has length one.
     """
     if direction not in DIRECTIONS:
         raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     kind = "bbar" if direction == SZ_FROM_DAGGER else "b"
     k = check_index(k, "k")
-    out = []
     if not with_bars:
         if l is not None:
             raise ParameterError("l only applies when with_bars is true")
-        for kp in _ranges(k):
-            c = coeff(kind, k, kp)
-            target = BarIndex(kp) if direction == SZ_FROM_DAGGER else kp
-            out.append((c, target))
-        return out
+        l = (1,) * len(k)
     l = check_index(l, "l")
+    out = []
     for lp in _ranges(l):
         cl = coeff(kind, l, lp)
         for kp in _ranges(k):
@@ -117,24 +112,17 @@ def verify_transform(which: int, l, k, order: int) -> Report:
         "k": k,
         "order": order,
     }
-    if which == 1:
-        l = check_index(l, "l")
-        lhs = zeta_infinite("sz", sz_from_pairs(interleave_pairs(l, k)), order=order)
+    if which in (2, 4):
+        if l is not None:
+            raise ParameterError(f"formula {which} takes l = None")
+        l = (1,) * len(k)  # the plain formulas are 1 and 3 with blocks of length one
+    pairs = interleave_pairs(l, k)
+    if which in (1, 2):
+        lhs = zeta_infinite("sz", sz_from_pairs(pairs), order=order)
         rhs = _combine("dagger", expand(SZ_FROM_DAGGER, True, l, k), order)
-    elif which == 2:
-        if l is not None:
-            raise ParameterError("formula 2 takes l = None")
-        lhs = zeta_infinite("sz", k, order=order)
-        rhs = _combine("dagger", expand(SZ_FROM_DAGGER, False, None, k), order)
-    elif which == 3:
-        l = check_index(l, "l")
-        lhs = zeta_infinite("dagger", bar_from_pairs(interleave_pairs(l, k)), order=order)
-        rhs = _combine("sz", expand(DAGGER_FROM_SZ, True, l, k), order)
     else:
-        if l is not None:
-            raise ParameterError("formula 4 takes l = None")
-        lhs = zeta_infinite("dagger", k, order=order)
-        rhs = _combine("sz", expand(DAGGER_FROM_SZ, False, None, k), order)
+        lhs = zeta_infinite("dagger", bar_from_pairs(pairs), order=order)
+        rhs = _combine("sz", expand(DAGGER_FROM_SZ, True, l, k), order)
     return compare_series("transform", params, lhs, rhs)
 
 
@@ -146,17 +134,12 @@ def roundtrip(with_bars: bool, l, k) -> dict:
     input and 0 elsewhere.
     """
     k = check_index(k, "k")
+    l = check_index(l, "l") if with_bars else (1,) * len(k)
     collected: dict[tuple, int] = {}
-    if not with_bars:
-        for c1, mid in expand(SZ_FROM_DAGGER, False, None, k):
-            mid_tuple = tuple(mid.entries)
-            for c2, back in expand(DAGGER_FROM_SZ, False, None, mid_tuple):
-                collected[back] = collected.get(back, 0) + c1 * c2
-    else:
-        l = check_index(l, "l")
-        for c1, mid in expand(SZ_FROM_DAGGER, True, l, k):
-            pairs = pairs_from_bar(mid)
-            for c2, back in expand(DAGGER_FROM_SZ, True, pairs[0::2], pairs[1::2]):
-                key = pairs_from_sz(back)
-                collected[key] = collected.get(key, 0) + c1 * c2
+    for c1, mid in expand(SZ_FROM_DAGGER, True, l, k):
+        pairs = pairs_from_bar(mid)
+        for c2, back in expand(DAGGER_FROM_SZ, True, pairs[0::2], pairs[1::2]):
+            # without bars every block has length one: key on the plain index
+            key = pairs_from_sz(back) if with_bars else back
+            collected[key] = collected.get(key, 0) + c1 * c2
     return {t: c for t, c in collected.items() if c}

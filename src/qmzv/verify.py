@@ -394,17 +394,6 @@ def _enumerate_cases(cfg: SuiteConfig):
     return cases
 
 
-def _constructor_stats(cfg: SuiteConfig) -> dict:
-    max_coeff = 0
-    max_terms = 0
-    for c in pair_indices(cfg.max_weight):
-        for eps in (0, 1):
-            u = expansion_word(eps, c)
-            max_coeff = max(max_coeff, u.max_abs_coeff())
-            max_terms = max(max_terms, len(u.terms()))
-    return {"max_abs_coefficient": max_coeff, "max_term_count": max_terms}
-
-
 def _run_case(name: str, args: tuple) -> Report:
     """One case's report; an exception in its check becomes an error report."""
     identity = IDENTITIES[name]
@@ -420,8 +409,7 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
 
     Returns (reports, summary).  Failures and errors are carried as data;
     the summary's "failed" count, which includes the errors, is what drives
-    exit status upstream.  Observed constructor coefficient statistics are
-    recorded, never asserted.
+    exit status upstream.
     """
     if filter_identity is not None and filter_identity not in IDENTITIES:
         raise ParameterError(
@@ -442,6 +430,5 @@ def run_suite(cfg: SuiteConfig, filter_identity: str | None = None):
         "passed": sum(1 for r in reports if r.passed),
         "failed": sum(1 for r in reports if not r.passed),
         "identities": by_identity,
-        "constructor_stats": _constructor_stats(cfg),
     }
     return reports, summary

@@ -165,9 +165,6 @@ class AlgebraElement:
     def in_space(self, space: str) -> bool:
         return all(word_in(w, space) for w in self._terms)
 
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self._terms.values()), default=0)
-
 
 def theta(u: AlgebraElement) -> AlgebraElement:
     """Sign automorphism: each word picks up (-1)^(letter count)."""

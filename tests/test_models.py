@@ -28,6 +28,7 @@ from qmzv.words import (
     BarIndex,
     bar_from_pairs,
     diamond_from_pairs,
+    index_from_word,
     word_from_index,
 )
 from qmzv import models
@@ -502,6 +503,20 @@ def test_z_map_refuses_unused_windows():
     ):
         with pytest.raises(ParameterError):
             models.z_map(model, "yx", **kwargs)
+    # the window is checked once per call, so the zero element is refused too
+    from qmzv.words import AlgebraElement
+
+    zero = AlgebraElement.zero()
+    for model, kwargs in (
+        ("dagger_finite", {"N": 0, "order": 3}),
+        ("dagger_finite", {"N": 3, "order": 3, "M": 5}),
+        ("classical", {"N": -2}),
+    ):
+        with pytest.raises(ParameterError):
+            models.z_map(model, zero, **kwargs)
+    for kwargs in ({"N": 0}, {"N": 4, "M": 2}):
+        with pytest.raises(ParameterError):
+            models.z_map_at_q("bz", zero, 2, **kwargs)
     with_window = models.z_map("dagger_finite", "yx", N=4, order=5, M=2)
     assert with_window != models.z_map("dagger_finite", "yx", N=4, order=5)
 
@@ -515,6 +530,52 @@ def test_z_map_linearity():
         "dagger_finite", "y", N=3, order=8
     )
     assert got == want
+
+
+def test_z_maps_equal_their_per_word_evaluators():
+    # z_map and z_map_at_q walk each word straight away; each must equal the
+    # sum over its words of the public evaluator of that word's model
+    import random
+
+    from qmzv.words import AlgebraElement
+
+    rng = random.Random(17)
+
+    def element(h0):
+        terms = {}
+        for _ in range(6):
+            k = [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+            if h0 and k:
+                k[-1] = rng.randint(2, 3)
+            w = word_from_index(k)
+            terms[w] = terms.get(w, 0) + rng.choice((-3, -2, -1, 1, 2, 5))
+        return AlgebraElement(terms)
+
+    N, M, order, q = 6, 2, 9, Fraction(-2, 3)
+    references = (
+        ("dagger_finite", {"N": N, "order": order, "M": M},
+         lambda k: models.zeta_dagger_finite(BarIndex(k), N=N, order=order, M=M)),
+        ("bz_finite", {"N": N, "order": order},
+         lambda k: models.zeta_bz_finite(k, N=N, order=order)),
+        ("dagger_inf", {"order": order},
+         lambda k: models.zeta_infinite("dagger", BarIndex(k), order=order)),
+        ("bz_inf", {"order": order}, lambda k: models.zeta_infinite("bz", k, order=order)),
+        ("classical", {"N": N}, lambda k: models.classical_zeta(k, N)),
+    )
+    for model, kwargs, reference in references:
+        u = element(model == "bz_inf")
+        got = models.z_map(model, u, **kwargs)
+        models._model_sum.cache_clear()
+        want = sum((c * reference(index_from_word(w)) for w, c in u.terms()),
+                   Fraction(0) if model == "classical" else QSeries.zero(order))
+        assert got == want, model
+    for model, window in (("dagger", M), ("bz", 0)):
+        u = element(False)
+        got = models.z_map_at_q(model, u, q, N=N, M=window)
+        models._model_sum.cache_clear()
+        want = sum(c * models.eval_at_rational_q(model, index_from_word(w), q, N=N, M=window)
+                   for w, c in u.terms())
+        assert got == want, model
 
 
 # -- classical sums ----------------------------------------------------------------

@@ -195,9 +195,6 @@ def test_summary_structure_json_safe():
     _, summary = run_suite(SuiteConfig(max_weight=2, max_N=2, order=6, max_r=1))
     text = json.dumps(summary)
     assert json.loads(text) == summary
-    stats = summary["constructor_stats"]
-    assert stats["max_abs_coefficient"] >= 1
-    assert stats["max_term_count"] >= 1
 
 
 def test_suite_reports_an_exception_and_runs_on(monkeypatch):
