@@ -11,6 +11,10 @@ partial domino tilings of the row: unions S | S' where
 
 Each member of the family has exactly one such decomposition, which the
 enumerator checks as it goes.
+
+Each public helper checks its arguments and calls an underscored twin that
+trusts them: sorted tuples of positions >= 1 and entries >= 1.  The
+constructor's recursion, which builds only such tuples, calls the twins.
 """
 
 from __future__ import annotations
@@ -62,16 +66,20 @@ def tilings(r: int):
     return tuple(sorted(seen, key=lambda t: (len(t), t)))
 
 
+def _dominoes(t: tuple, parity: int) -> int:
+    """Dominoes {p, p+1} inside t whose first position p has this parity."""
+    s = set(t)
+    return sum(1 for p in t if p % 2 == parity and p + 1 in s)
+
+
 def eo_count(S) -> int:
     """Number of even-odd dominoes {2j, 2j+1} contained in S."""
-    s = set(_check_subset(S))
-    return sum(1 for j in range(1, max(s, default=0) // 2 + 1) if {2 * j, 2 * j + 1} <= s)
+    return _dominoes(_check_subset(S), 0)
 
 
 def oe_count(S) -> int:
     """Number of odd-even dominoes {2j-1, 2j} contained in S."""
-    s = set(_check_subset(S))
-    return sum(1 for j in range(1, (max(s, default=0) + 1) // 2 + 1) if {2 * j - 1, 2 * j} <= s)
+    return _dominoes(_check_subset(S), 1)
 
 
 def kappa(S) -> int:
@@ -100,34 +108,55 @@ def sigma_image(A, B) -> tuple:
     return tuple(sigma_map(a, p) for p in b)
 
 
+def _alpha(t: tuple) -> int:
+    return len(t) - _dominoes(t, 0)
+
+
+def _beta(t: tuple) -> int:
+    return len(t) - _dominoes(t, 1)
+
+
+def _beta_after(a: tuple, b: tuple) -> int:
+    return _beta(tuple(p - sum(1 for x in a if x <= p) for p in b))
+
+
 def alpha(B) -> int:
     """len(B) minus the even-odd dominoes inside B."""
-    t = _check_subset(B)
-    return len(t) - eo_count(t)
+    return _alpha(_check_subset(B))
 
 
 def beta(B) -> int:
     """len(B) minus the odd-even dominoes inside B."""
-    t = _check_subset(B)
-    return len(t) - oe_count(t)
+    return _beta(_check_subset(B))
 
 
 def beta_after(A, B) -> int:
     """beta of B after renumbering by the deletion of A."""
-    return beta(sigma_image(A, B))
+    return _beta(sigma_image(A, B))
 
 
 # -- index surgery -----------------------------------------------------------
 
 
-def split_ones(c: Sequence[int]) -> tuple:
-    """Positions with entry exactly 1 and positions with entry > 1, 1-based."""
+def _split_ones(c: tuple) -> tuple:
     ones, gt1 = [], []
     for p, e in enumerate(c, start=1):
-        if not isinstance(e, int) or e < 1:
-            raise ParameterError(f"entries must be ints >= 1, got {tuple(c)}")
         (ones if e == 1 else gt1).append(p)
     return tuple(ones), tuple(gt1)
+
+
+def _index_surgery(c: tuple, a: tuple, b: tuple) -> tuple:
+    a, b = set(a), set(b)
+    return tuple(e - 1 if p in b else e for p, e in enumerate(c, start=1) if p not in a)
+
+
+def split_ones(c: Sequence[int]) -> tuple:
+    """Positions with entry exactly 1 and positions with entry > 1, 1-based."""
+    c = tuple(c)
+    for e in c:
+        if not isinstance(e, int) or e < 1:
+            raise ParameterError(f"entries must be ints >= 1, got {c}")
+    return _split_ones(c)
 
 
 def index_surgery(c: Sequence[int], A, B) -> tuple:
@@ -143,9 +172,4 @@ def index_surgery(c: Sequence[int], A, B) -> tuple:
         raise ParameterError(f"deleted positions {a} must carry entry 1 in {c}")
     if not set(b) <= set(gt1):
         raise ParameterError(f"decremented positions {b} must carry entry > 1 in {c}")
-    bs = set(b)
-    return tuple(
-        e - (1 if p in bs else 0)
-        for p, e in enumerate(c, start=1)
-        if p not in set(a)
-    )
+    return _index_surgery(c, a, b)

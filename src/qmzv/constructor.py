@@ -11,7 +11,10 @@ expansion_word(eps, c) of top length sum(c) - (1 - eps) * r, r = len(c) // 2.
 The paper's explicit domino-free formula for it is the reference it is
 checked against in tests/test_constructor.py.  expansion_word checks its
 arguments once; the recursion memoizes every expansion in one lru_cache,
-which clear_cache() empties.
+which clear_cache() empties.  The recursion runs on trusted paths: it calls
+the unchecked twins of the combinat helpers on the pair tuples and position
+subsets it builds, accumulates each expansion term by term in one dict, and
+makes one element from it with the unchecked AlgebraElement._make.
 
 The module-level sign constants exist so the test suite can flip exactly one
 and watch identities fail; they are not configuration.
@@ -25,13 +28,12 @@ from math import comb
 
 from .words import AlgebraElement, check_eps, check_pairs, theta
 from .combinat import (
-    alpha,
-    beta,
-    beta_after,
-    eo_count,
-    index_surgery,
-    kappa,
-    split_ones,
+    _alpha,
+    _beta,
+    _beta_after,
+    _dominoes,
+    _index_surgery,
+    _split_ones,
     tilings,
 )
 
@@ -49,24 +51,16 @@ def reverse_pairs(c) -> tuple:
     return tuple(reversed(check_pairs(c)))
 
 
-def _yx(k: int) -> AlgebraElement:
-    return AlgebraElement.word("y" + "x" * k)
-
-
 def _subsets(positions):
     for n in range(len(positions) + 1):
         yield from combinations(positions, n)
 
 
-def _signed_range(a: int, b: int) -> AlgebraElement:
-    # sum_{h=a+1}^{b} y x^(h-1), read backwards with a minus when a > b
-    sign = 1
-    if a > b:
-        a, b, sign = b, a, -1
-    total = AlgebraElement.zero()
-    for h in range(a + 1, b + 1):
-        total = total + _yx(h - 1)
-    return sign * total
+def _add_times(total: dict, terms, coeff: int, suffix: str):
+    """total += coeff * (the element with these terms) * suffix, in place."""
+    for w, c in terms:
+        w += suffix
+        total[w] = total.get(w, 0) + coeff * c
 
 
 def expansion_word(eps: int, c) -> AlgebraElement:
@@ -77,41 +71,45 @@ def expansion_word(eps: int, c) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def _expansion(eps: int, c: tuple) -> AlgebraElement:
-    # the recursion skips expansion_word's checks: index_surgery builds only
-    # valid pair tuples
+    # the recursion skips expansion_word's checks: _index_surgery builds only
+    # valid pair tuples, and every position subset below is a sorted tuple
     if not c:
         return AlgebraElement.one()
 
     r = len(c) // 2
-    ones, gt1 = split_ones(c)
-    total = AlgebraElement.zero()
+    ones, gt1 = _split_ones(c)
+    total: dict[str, int] = {}
 
     for B in _subsets(gt1):
         if not B:
             continue
-        sub = _expansion(eps, index_surgery(c, (), B))
+        sub = _expansion(eps, _index_surgery(c, (), B)).terms()
         sign = (-1) ** len(B)
-        a, b = alpha(B), beta(B)
-        total = total + _TERM1_SIGN * sign * (sub * AlgebraElement.word("x" * a))
-        total = total + sign * (sub * _signed_range(a, b))
+        a, b = _alpha(B), _beta(B)
+        _add_times(total, sub, _TERM1_SIGN * sign, "x" * a)
+        # sum_{h=a+1}^{b} y x^(h-1), read backwards with a minus when a > b
+        if a > b:
+            a, b, sign = b, a, -sign
+        for h in range(a + 1, b + 1):
+            _add_times(total, sub, sign, "y" + "x" * (h - 1))
 
     ones_set = set(ones)
     for A in tilings(r):
         if not A or not set(A) <= ones_set:
             continue
-        kap = kappa(A)
-        eo_sign = _EO_SIGN ** eo_count(A)
+        kap = len(A) // 2
+        eo_sign = _EO_SIGN ** _dominoes(A, 0)
         for B in _subsets(gt1):
-            sub = _expansion(eps, index_surgery(c, A, B))
-            tail = beta_after(A, B)
+            sub = _expansion(eps, _index_surgery(c, A, B)).terms()
+            tail = _beta_after(A, B)
             for h in range(1, kap + 1):
                 coeff = (
                     eo_sign
                     * (-1) ** (len(B) + kap - h)
                     * comb(kap - 1, h - 1)
                 )
-                total = total + coeff * (sub * _yx(h + eps * kap + tail - 1))
-    return total
+                _add_times(total, sub, coeff, "y" + "x" * (h + eps * kap + tail - 1))
+    return AlgebraElement._make({w: co for w, co in total.items() if co})
 
 
 def dagger_word(c) -> AlgebraElement:
@@ -131,6 +129,6 @@ def classical_expansion_word(eps: int, c) -> AlgebraElement:
     check_eps(eps)
     c = check_pairs(c)
     top = sum(c) - (1 - eps) * (len(c) // 2)
-    return AlgebraElement(
+    return AlgebraElement._make(
         {w: co for w, co in expansion_word(eps, c).terms() if len(w) == top}
     )

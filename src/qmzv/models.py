@@ -43,8 +43,10 @@ table of the kernels (a, m, k) it has built, dropped when the call returns,
 so a kernel shared by slots, suffixes and tuples is built once per call.
 
 The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
-the classical limits, where every factor becomes 1/x^k, and integer q-series
-packed by series.pack: add is an int add, mul one bigint multiply (Kronecker
+the classical limits, where every factor 1/x^k is held as the integer
+(L/x)^k with L = lcm(1, ..., top - 1) and a walk is divided once by L^K, K
+the sum of the slots' k (one per slot), and integer q-series packed by
+series.pack: add is an int add, mul one bigint multiply (Kronecker
 substitution), and each stored S_j(lo) is cut back to order + 1 digits by a
 mask.  The walk decodes exactly while every coefficient lies below
 2^(bits-1) in absolute value.  The bound that fixes bits: coefficientwise
@@ -93,6 +95,7 @@ from .words import (
     index_from_word,
     pairs_from_sz,
     sz_from_pairs,
+    word_in,
 )
 
 
@@ -203,15 +206,27 @@ class _PointValues:
 
 
 class _ClassicalValues:
-    trunc = staticmethod(_same)
-    one = Fraction(1)
-    zero = Fraction(0)
+    """The classical limit 1/m^k times scale^k, for m dividing scale."""
 
-    def __init__(self, param=None):
-        """The classical limit has no parameter; param only fills the ring's slot."""
+    trunc = staticmethod(_same)
+    one = 1
+    zero = 0
+
+    def __init__(self, scale: int):
+        self.scale = scale
 
     def kernel(self, a, m, k):
-        return Fraction(1, m**k)
+        return (self.scale // m) ** k
+
+
+def _classical_walk(slots, low, top) -> Fraction:
+    """The classical value of one slot tuple, from its walk on the ring
+    scaled by L = lcm(1, ..., top - 1), which every x of the walk divides."""
+    ks = [{choice.k for choice in slot} for slot in slots]
+    assert all(len(k) == 1 for k in ks), f"a classical slot mixes k: {slots}"
+    scale = lcm(*range(1, top))
+    walk = _walk((slots,), low, top, _ClassicalValues(scale))[0]
+    return Fraction(walk, scale ** sum(k for (k,) in ks))
 
 
 # -- the walker -------------------------------------------------------------------
@@ -356,6 +371,8 @@ def _model_sum(family, entries, low, top, ring, param):
     slots = _SLOTS[family](entries)
     if ring is _PackedValues:
         return _series_walk(slots, low, top, param)
+    if ring is _ClassicalValues:
+        return _classical_walk(slots, low, top)
     return _walk((slots,), low, top, ring(param))[0]
 
 
@@ -630,6 +647,10 @@ def verify_bridge(w: str, N: int, q) -> Report:
     if not isinstance(w, str):
         raise ParameterError("verify_bridge takes a single word")
     q = check_q_sample(q)
-    lhs = z_map_at_q("dagger", w, Fraction(1) / q, N=N)
-    rhs = (-1) ** len(w) * z_map_at_q("bz", w, q, N=N)
+    if not word_in(w, H1):
+        raise MembershipError("element must lie in H1 (words empty or y-headed)")
+    low, top = _finite_window("bz", N, 0)  # the dagger window too, at M = 0
+    k = index_from_word(w)
+    lhs = _model_sum("dagger", k, low, top, _PointValues, Fraction(1) / q)
+    rhs = (-1) ** len(w) * _model_sum("bz", k, low, top, _PointValues, q)
     return compare_values("bridge", {"word": w, "N": N, "q": str(q)}, lhs, rhs)

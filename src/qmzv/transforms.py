@@ -18,6 +18,8 @@ from .models import zeta_infinite
 from .report import Report, compare_series
 from .series import QSeries
 from .words import (
+    BAR1,
+    BarIndex,
     bar_from_pairs,
     check_index,
     interleave_pairs,
@@ -73,17 +75,19 @@ def expand(direction: str, with_bars: bool, l, k) -> list:
             raise ParameterError("l only applies when with_bars is true")
         l = (1,) * len(k)
     l = check_index(l, "l")
+    if len(l) != len(k):
+        raise ParameterError(f"l and k must have equal length, got {l} and {k}")
+    fill = BAR1 if direction == SZ_FROM_DAGGER else 0
     out = []
     for lp in _ranges(l):
         cl = coeff(kind, l, lp)
         for kp in _ranges(k):
-            c = cl * coeff(kind, k, kp)
-            pairs = interleave_pairs(lp, kp)
-            if direction == SZ_FROM_DAGGER:
-                target = bar_from_pairs(pairs)
-            else:
-                target = sz_from_pairs(pairs)
-            out.append((c, target))
+            # lp and kp lie in checked ranges: the target ({fill}^(lp_1 - 1),
+            # kp_1, ...) is built unchecked
+            target = tuple(e for lj, kj in zip(lp, kp) for e in [fill] * (lj - 1) + [kj])
+            if fill is BAR1:
+                target = BarIndex._make(target)
+            out.append((cl * coeff(kind, k, kp), target))
     return out
 
 

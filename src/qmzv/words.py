@@ -93,8 +93,16 @@ class AlgebraElement:
             if not isinstance(c, int):
                 raise ParameterError(f"coefficient of {w!r} must be an int, got {c!r}")
             if c:
-                clean[w] = clean.get(w, 0) + c
-        self._terms = {w: clean[w] for w in sorted(clean) if clean[w]}
+                clean[w] = c
+        self._terms = dict(sorted(clean.items()))
+
+    @classmethod
+    def _make(cls, terms: dict) -> "AlgebraElement":
+        """An element from trusted terms (words over x, y with nonzero int
+        coefficients): no checks, only the sort into canonical order."""
+        out = object.__new__(cls)
+        out._terms = dict(sorted(terms.items()))
+        return out
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -123,8 +131,10 @@ class AlgebraElement:
             return NotImplemented
         merged = dict(self._terms)
         for w, c in other._terms.items():
-            merged[w] = merged.get(w, 0) + c
-        return AlgebraElement(merged)
+            c += merged.pop(w, 0)
+            if c:
+                merged[w] = c
+        return AlgebraElement._make(merged)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -132,11 +142,11 @@ class AlgebraElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement({w: -c for w, c in self._terms.items()})
+        return AlgebraElement._make({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return AlgebraElement({w: c * other for w, c in self._terms.items()})
+            return AlgebraElement._make({w: c * other for w, c in self._terms.items() if other})
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         out: dict[str, int] = {}
@@ -144,7 +154,7 @@ class AlgebraElement:
             for w2, c2 in other._terms.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
-        return AlgebraElement(out)
+        return AlgebraElement._make({w: c for w, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -168,9 +178,7 @@ class AlgebraElement:
 
 def theta(u: AlgebraElement) -> AlgebraElement:
     """Sign automorphism: each word picks up (-1)^(letter count)."""
-    return AlgebraElement(
-        {w: -c if len(w) % 2 else c for w, c in u.terms()}
-    )
+    return AlgebraElement._make({w: -c if len(w) % 2 else c for w, c in u.terms()})
 
 
 def format_element(u: AlgebraElement) -> str:
@@ -280,6 +288,13 @@ class BarIndex:
 
     def __init__(self, entries: Iterable = ()):
         object.__setattr__(self, "entries", _check_bar_entries(entries))
+
+    @classmethod
+    def _make(cls, entries: tuple) -> "BarIndex":
+        """A bar index from a trusted tuple of ints >= 1 and BAR1."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
 
     def is_admissible(self) -> bool:
         return not self.entries or self.entries[-1] is not BAR1

@@ -4,6 +4,12 @@ import pytest
 
 from qmzv.errors import ParameterError
 from qmzv.combinat import (
+    _alpha,
+    _beta,
+    _beta_after,
+    _dominoes,
+    _index_surgery,
+    _split_ones,
     alpha,
     beta,
     beta_after,
@@ -134,3 +140,34 @@ def test_index_surgery():
         index_surgery((2, 1), (1,), ())  # position 1 carries entry 2
     with pytest.raises(ParameterError):
         index_surgery((2, 1), (), (2,))  # position 2 carries entry 1
+
+
+def test_trusted_twins_match_literal_definitions():
+    # the unchecked twins the constructor calls, on every pair of disjoint
+    # position subsets of [6] and the index rows they cut, against literal
+    # definitions of the domino counts, the renumbering and the surgery
+    row = range(1, 7)
+    subsets = [t for n in range(7) for t in itertools.combinations(row, n)]
+    for t in subsets:
+        s = set(t)
+        eo = sum(1 for j in range(1, 4) if {2 * j, 2 * j + 1} <= s)
+        oe = sum(1 for j in range(1, 4) if {2 * j - 1, 2 * j} <= s)
+        assert (_dominoes(t, 0), _dominoes(t, 1)) == (eo, oe), t
+        assert (_alpha(t), _beta(t)) == (len(t) - eo, len(t) - oe), t
+        assert (alpha(t), beta(t), eo_count(t), oe_count(t)) == (
+            len(t) - eo, len(t) - oe, eo, oe), t
+    for a in subsets:
+        for b in subsets:
+            if set(a) & set(b):
+                continue
+            renumbered = tuple(p - len([x for x in a if x < p]) for p in b)
+            want = len(renumbered) - sum(
+                1 for p in renumbered if p % 2 and p + 1 in renumbered)
+            assert _beta_after(a, b) == beta_after(a, b) == want, (a, b)
+            c = tuple(1 if p in a else 2 + p % 2 if p in b else 1 + p % 2 for p in row)
+            kept = [p for p in row if p not in a]
+            cut = tuple(c[p - 1] - (p in b) for p in kept)
+            assert _index_surgery(c, a, b) == index_surgery(c, a, b) == cut, (c, a, b)
+            ones = tuple(p for p in row if c[p - 1] == 1)
+            gt1 = tuple(p for p in row if c[p - 1] > 1)
+            assert _split_ones(c) == split_ones(c) == (ones, gt1), c

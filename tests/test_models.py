@@ -8,8 +8,8 @@ test.
 
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import lcm
+from itertools import combinations, combinations_with_replacement, product
+from math import lcm, prod
 
 import pytest
 
@@ -612,6 +612,61 @@ def test_classical_diamond_rejects_trailing_one():
         models.classical_zeta_diamond((2, 1), 4)
 
 
+class FractionClassicalValues:
+    """The reference classical ring: every factor 1/m^k as a Fraction, for the
+    walker to run on as it runs on the scaled integer ring."""
+
+    one = Fraction(1)
+    zero = Fraction(0)
+
+    @staticmethod
+    def kernel(a, m, k):
+        return Fraction(1, m**k)
+
+    @staticmethod
+    def trunc(value):
+        return value
+
+
+def fraction_classical(family, entries, N):
+    slots = models._SLOTS[family](entries)
+    return models._walk((slots,), 1, N, FractionClassicalValues())[0]
+
+
+def brute_classical_zeta(k, N):
+    """Strict lattice sum of 1/(n_1^(k_1) ... n_r^(k_r)); literal enumeration."""
+    total = Fraction(0)
+    for point in combinations(range(1, N), len(k)):
+        total += prod(Fraction(1, n**e) for n, e in zip(point, k))
+    return total
+
+
+def test_scaled_classical_ring_matches_fraction_ring():
+    for N in (1, 2, 3, 7, 12, 31, 60):
+        for k in BZ_FINITE_POOL + ((4, 1, 1, 3),):
+            assert models.classical_zeta(k, N) == fraction_classical("bz", k, N), (k, N)
+        for c in ((1, 1), (2, 1), (1, 2), (3, 2, 2, 1), (1, 1, 1, 1, 2, 2)):
+            entries = bar_from_pairs(c).entries
+            assert models.classical_zeta_blocks(c, N) == fraction_classical(
+                "dagger", entries, N), (c, N)
+        for k in DIAMOND_POOL:
+            assert models.classical_zeta_diamond(k, N) == fraction_classical(
+                "diamond-dagger", k, N), (k, N)
+
+
+def test_classical_zeta_against_brute_force():
+    for k in ((), (1,), (2,), (1, 2), (2, 1), (3, 1, 2), (1, 1, 1), (2, 2, 2, 2)):
+        for N in range(1, 7):
+            assert models.classical_zeta(k, N) == brute_classical_zeta(k, N), (k, N)
+
+
+def test_classical_walk_refuses_a_slot_mixing_k():
+    # the scaled ring divides by L^K, K the one k of each slot summed
+    mixed = ((models._Choice(1, 1), models._Choice(1, 2)),)
+    with pytest.raises(AssertionError):
+        models._classical_walk(mixed, 1, 4)
+
+
 # -- rational points ---------------------------------------------------------------
 
 
@@ -686,6 +741,21 @@ def test_verify_bridge():
             for q in (2, Fraction(1, 2), -2, Fraction(5, 7)):
                 rep = models.verify_bridge(w, N, q)
                 assert rep.passed, (w, N, q, rep.witness)
+
+
+def test_verify_bridge_checks_as_the_z_maps_do():
+    # one check of q, the word and N, with the messages of z_map_at_q
+    for w, N, q, error, message in (
+        ("yx", 3, 1, ParameterError, "q sample must avoid"),
+        ("yz", 3, 2, ParameterError, "not a word over x,y"),
+        ("xy", 3, 2, MembershipError, "element must lie in H1"),
+        ("yx", 0, 2, ParameterError, "need integers 0 <= M < N"),
+        ("yx", True, 2, ParameterError, "need integers 0 <= M < N"),
+    ):
+        for call in (lambda: models.verify_bridge(w, N, q),
+                     lambda: models.z_map_at_q("bz", w, q, N=N)):
+            with pytest.raises(error, match=message):
+                call()
 
 
 def test_bridge_example_values():
@@ -988,7 +1058,8 @@ def test_trie_walk_matches_one_tuple_walks():
     # every value ring: the dense reference, two rational points, the classical limit
     for tuples, low, top, order in trie_calls():
         rings = (SeriesValues(order), models._PointValues(Fraction(2)),
-                 models._PointValues(Fraction(-1, 3)), models._ClassicalValues())
+                 models._PointValues(Fraction(-1, 3)),
+                 models._ClassicalValues(lcm(*range(1, top))))
         for vals in rings:
             want = [models._walk((t,), low, top, vals)[0] for t in tuples]
             assert models._walk(tuples, low, top, vals) == want, (tuples, low, vals)

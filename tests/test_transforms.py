@@ -14,7 +14,7 @@ from qmzv.transforms import (
     roundtrip,
     verify_transform,
 )
-from qmzv.words import BAR1, BarIndex
+from qmzv.words import BAR1, BarIndex, bar_from_pairs, interleave_pairs, sz_from_pairs
 
 
 def test_coeff_examples():
@@ -71,10 +71,24 @@ def test_expand_validation():
         expand("sideways", False, None, (1,))
     with pytest.raises(ParameterError):
         expand(DAGGER_FROM_SZ, False, (1,), (1,))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^l and k must have equal length, got \(1, 2\)"):
         expand(DAGGER_FROM_SZ, True, (1, 2), (1,))
     with pytest.raises(ParameterError, match="^l must be"):
         expand(DAGGER_FROM_SZ, True, None, (1,))
+
+
+def test_expand_targets_match_the_checked_builders():
+    # expand builds its targets unchecked; each equals the checked codec's
+    for l, k in (((), ()), ((1,), (3,)), ((2, 1), (1, 2)), ((3, 2), (2, 4)),
+                 ((1, 1, 2), (2, 1, 1))):
+        points = [(lp, kp) for lp in product(*(range(1, a + 1) for a in l))
+                  for kp in product(*(range(1, a + 1) for a in k))]
+        for direction, build in ((SZ_FROM_DAGGER, bar_from_pairs),
+                                 (DAGGER_FROM_SZ, sz_from_pairs)):
+            targets = [t for _, t in expand(direction, True, l, k)]
+            assert targets == [build(interleave_pairs(*p)) for p in points], (l, k)
+            assert all(hash(t) == hash(build(interleave_pairs(*p)))
+                       for t, p in zip(targets, points))
 
 
 def test_expand_support_bound():

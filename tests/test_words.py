@@ -130,6 +130,50 @@ def test_element_product_concatenates():
     assert 2 * a == a + a
 
 
+def random_terms(rng):
+    """A dict of up to six words of length <= 4 with signed coefficients,
+    zeros included."""
+    words = ["".join(rng.choice("xy") for _ in range(rng.randrange(5))) for _ in range(6)]
+    return {w: rng.randint(-3, 3) for w in words[: rng.randrange(7)]}
+
+
+def plain_sum(*dicts):
+    out = {}
+    for d in dicts:
+        for w, c in d.items():
+            out[w] = out.get(w, 0) + c
+    return out
+
+
+def test_trusted_algebra_matches_checked_constructor():
+    # every operation builds its result unchecked; each must equal the element
+    # the checked constructor makes from the same terms computed on plain dicts
+    for seed in range(200):
+        rng = random.Random(seed)
+        a, b = random_terms(rng), random_terms(rng)
+        u, v = AlgebraElement(a), AlgebraElement(b)
+        n = rng.randint(-2, 2)
+        cases = [
+            (u + v, plain_sum(a, b)),
+            (u - v, plain_sum(a, {w: -c for w, c in b.items()})),
+            (u + (-u), {}),
+            (-u, {w: -c for w, c in a.items()}),
+            (n * u, {w: n * c for w, c in a.items()}),
+            (u * n, {w: n * c for w, c in a.items()}),
+            (0 * u, {}),
+            (u * v, plain_sum(*({w1 + w2: c1 * c2} for w1, c1 in a.items()
+                                for w2, c2 in b.items()))),
+            (theta(u), {w: -c if len(w) % 2 else c for w, c in a.items()}),
+        ]
+        for got, terms in cases:
+            want = AlgebraElement(terms)
+            assert got == want and hash(got) == hash(want), (seed, got, want)
+            assert got.terms() == want.terms(), (seed, got.terms())
+            assert [w for w, _ in got.terms()] == sorted(w for w, _ in got.terms())
+            assert all(c for _, c in got.terms()), (seed, got.terms())
+            assert got.is_zero() == (not any(terms.values()))
+
+
 def test_element_json_round_trip_sorted():
     u = AlgebraElement({"yxx": -3, "y": 1, "yx": 2})
     doc = element_to_json(u)
