@@ -26,6 +26,13 @@ the first variable most significant.  Adding two codes adds the tuples
 without a carry, so a product term is kept exactly when its code is in the
 table of tuples within the cap, and codes sort as their tuples do.
 
+The identities' boundary factors, such as (1 - q^N) - u_1 - u_2 + u_1 u_2,
+are linear: each coefficient is a short sum of +-q^t.  _linear builds one
+from those digits, packs it at the width of their count (its mass) and keeps
+the digits, so a product with it is, term by term, shifted copies of the
+other operand's residues added or subtracted at the product's width, with no
+bigint multiply; that path never reads the linear operand's residues.
+
 xi_genfun packs the nested-sum values into one MultiPoly: the coefficient at
 exponent tuple e is xi(eps, e+1) for the same window.  Odd-position variables
 (1-indexed) track the repetition count of a pair, even-position ones the
@@ -33,6 +40,15 @@ entry size.  Window-shift and cut-one-level identities then become polynomial
 statements, and every check here is stated cross-multiplied: 1 - q^n is a
 unit in the coefficient ring, q^m - q^n is not, and nothing below ever
 divides by the latter.
+
+The leaves of xi_genfun are walked at the walker's bound rounded up to a
+multiple of 32 bits.  Every xi value has nonnegative coefficients, and the
+bound keeps each leaf's L1 norm below 2^(bits-1), so a leaf's residue holds
+its coefficients as plain digits and its L1 norm is their sum, the residue
+mod 2^bits - 1: the mass is exact without a decode.  When the polynomial's
+width is the walk's, the residues are kept as they are; when it is 32 and
+the walk is wider, every digit lies below 2^30 and the low 32-bit word of
+each is kept; any other width decodes each leaf and packs it again.
 """
 
 from __future__ import annotations
@@ -90,7 +106,7 @@ class MultiPoly:
     """Polynomial with integer QSeries coefficients, capped at maxdeg per
     variable, stored as packed residues (module docstring)."""
 
-    __slots__ = ("nvars", "maxdeg", "order", "bits", "mass", "_terms")
+    __slots__ = ("nvars", "maxdeg", "order", "bits", "mass", "_terms", "_digits")
 
     def __init__(self, nvars: int, maxdeg: int, order: int, terms=None):
         check_count(nvars, "nvars")
@@ -115,8 +131,9 @@ class MultiPoly:
         coeffs = {code: s.coeffs for code, s in clean.items()}
         self._set(nvars, maxdeg, order, *_pack(coeffs, mass))
 
-    def _set(self, nvars, maxdeg, order, bits, mass, terms):
-        for name, value in zip(self.__slots__, (nvars, maxdeg, order, bits, mass, terms)):
+    def _set(self, nvars, maxdeg, order, bits, mass, terms, digits=None):
+        values = (nvars, maxdeg, order, bits, mass, terms, digits)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _make(self, bits: int, mass: int, terms: dict, nvars=None) -> "MultiPoly":
@@ -235,15 +252,34 @@ class MultiPoly:
             return NotImplemented
         self._require_compatible(other)
         mass = self.mass * other.mass
-        bits, a, b = self._widths(other, mass)
         valid = _exponents(self.nvars, self.maxdeg)
         out: dict[int, int] = {}
         get = out.get
-        for c1, r1 in a.items():
-            for c2, r2 in b.items():
-                c = c1 + c2
-                if c in valid:
-                    out[c] = get(c, 0) + r1 * r2
+        dense, linear = (self, other) if other._digits is not None else (other, self)
+        if linear._digits is not None:
+            # each term product is a few shifted, signed copies of a residue
+            bits = max(self.bits, other.bits, _bits_for(mass))
+            shifts = [
+                (c2, [(bits * t, sign) for t, sign in ds]) for c2, ds in linear._digits.items()
+            ]
+            for c1, r1 in dense._at(bits).items():
+                for c2, ds in shifts:
+                    c = c1 + c2
+                    if c in valid:
+                        value = get(c, 0)
+                        for shift, sign in ds:
+                            if sign > 0:
+                                value += r1 << shift
+                            else:
+                                value -= r1 << shift
+                        out[c] = value
+        else:
+            bits, a, b = self._widths(other, mass)
+            for c1, r1 in a.items():
+                for c2, r2 in b.items():
+                    c = c1 + c2
+                    if c in valid:
+                        out[c] = get(c, 0) + r1 * r2
         mask = layout(bits, self.order)[0]
         return self._make(bits, mass, {c: v for c, r in out.items() if (v := r & mask)})
 
@@ -303,16 +339,41 @@ def _poly(nvars: int, maxdeg: int, order: int, entries) -> MultiPoly:
     return MultiPoly(nvars, maxdeg, order, terms)
 
 
+def _linear(nvars: int, maxdeg: int, order: int, entries) -> MultiPoly:
+    """Build from (exponent, ((t, sign), ...)) pairs, the coefficient being
+    the sum of sign q^t, silently dropping exponents past maxdeg and t past
+    order.  The digits are kept for the shift path of products; mass is
+    their count."""
+    radix = 2 * maxdeg + 1
+    digits: dict[int, list] = {}
+    for e, ds in entries:
+        if max(e, default=0) <= maxdeg:
+            digits.setdefault(_code(e, radix), []).extend(d for d in ds if d[0] <= order)
+    mass = sum(map(len, digits.values()))
+    bits = _bits_for(mass)
+    mask = layout(bits, order)[0]
+    terms = {c: r for c, ds in digits.items() if (r := sum(s << bits * t for t, s in ds) & mask)}
+    out = object.__new__(MultiPoly)
+    out._set(nvars, maxdeg, order, bits, mass, terms, {c: digits[c] for c in terms})
+    return out
+
+
+def _bracket(n: int) -> tuple:
+    return ((0, 1), (n, -1))  # the digits of 1 - q^n
+
+
+_MINUS_ONE = ((0, -1),)
+
+
 def _pair_cap(nvars: int, maxdeg: int, order: int, N: int, vy: int, vx: int) -> MultiPoly:
     # (1 - q^N) - u_vy - u_vx + u_vy u_vx; the two-variable top-boundary factor
-    one = QSeries.one(order)
     ey, ex = _unit_exp(nvars, vy), _unit_exp(nvars, vx)
     both = tuple(a + b for a, b in zip(ey, ex))
-    return _poly(
+    return _linear(
         nvars,
         maxdeg,
         order,
-        [((0,) * nvars, bracket(N, order)), (ey, -one), (ex, -one), (both, one)],
+        [((0,) * nvars, _bracket(N)), (ey, _MINUS_ONE), (ex, _MINUS_ONE), (both, ((0, 1),))],
     )
 
 
@@ -321,9 +382,11 @@ def xi_genfun(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> Mult
 
     Every leaf comes from one call of the models walker over all
     (maxdeg + 1)^(2r) pair indices, which shares the slots that leaves
-    have in common at their ends.  Each leaf is decoded once and packed at
-    the width of the polynomial's exact L1 mass; the leaves are not kept in
-    the models cache."""
+    have in common at their ends, at a width that is a multiple of 32.  The
+    polynomial's mass is the exact L1 norm, read from each leaf's digit sum,
+    and its width is the one that mass needs; no leaf is decoded unless that
+    width is neither the walk's nor 32 (module docstring).  The leaves are
+    not kept in the models cache."""
     check_eps(eps)
     check_window(M, N)
     check_count(r, "r")
@@ -336,9 +399,22 @@ def _xi_genfun(eps, M, N, r, maxdeg, order):
     table = _exponents(2 * r, maxdeg)
     cs = (tuple(x + 1 for x in e) for e in table.values())
     bits, walks = xi_packed(eps, cs, N=N, M=M, order=order)
-    leaves = {code: unpack(walk, bits, order) for code, walk in zip(table, walks)}
-    mass = sum(sum(map(abs, leaf)) for leaf in leaves.values())
-    return MultiPoly.zero(2 * r, maxdeg, order)._make(*_pack(leaves, mass))
+    # nonnegative digits whose sum lies below 2^(bits - 1): the digit sum,
+    # the residue mod 2^bits - 1, is each leaf's L1 norm
+    ones = (1 << bits) - 1
+    leaves = {code: walk for code, walk in zip(table, walks) if walk}
+    mass = sum(walk % ones for walk in leaves.values())
+    out = _bits_for(mass)
+    if out == 32 < bits:
+        # every digit lies below 2^30: keep the low 32-bit word of each
+        size, step = bits * (order + 1) // 8, bits // 32
+        leaves = {
+            code: int.from_bytes(memoryview(walk.to_bytes(size, "little")).cast("I")[::step], "little")
+            for code, walk in leaves.items()
+        }
+    elif out != bits:
+        leaves = {code: pack(unpack(walk, bits, order), out) for code, walk in leaves.items()}
+    return MultiPoly.zero(2 * r, maxdeg, order)._make(out, mass, leaves)
 
 
 def boundary_scaled(gp: MultiPoly, N: int) -> MultiPoly:
@@ -422,21 +498,18 @@ def verify_g_diff(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> 
     check_count(r, "r", least=1)
     params = {"eps": eps, "M": M, "N": N, "r": r, "maxdeg": maxdeg, "order": order}
     nv = 2 * r
-    one = QSeries.one(order)
-    bNM = bracket(N - M, order)
-    bM = bracket(M, order)
-
-    peel_y = _poly(nv, maxdeg, order, [((0,) * nv, bNM), (_unit_exp(nv, 0), -one)])
-    peel_x = _poly(nv, maxdeg, order, [((0,) * nv, bM), (_unit_exp(nv, 1), -one)])
+    zero = (0,) * nv
+    peel_y = _linear(nv, maxdeg, order, [(zero, _bracket(N - M)), (_unit_exp(nv, 0), _MINUS_ONE)])
+    peel_x = _linear(nv, maxdeg, order, [(zero, _bracket(M)), (_unit_exp(nv, 1), _MINUS_ONE)])
     lhs = peel_y * peel_x * xi_genfun(eps, M - 1, N, r, maxdeg, order)
 
     full = xi_genfun(eps, M, N, r, maxdeg, order)
     term = peel_x * full
     if eps:
         lift = kernel(M, M, 1, order)
-        term = term * _poly(nv, maxdeg, order, [((0,) * nv, one), (_unit_exp(nv, 0), lift)])
+        term = term * _poly(nv, maxdeg, order, [(zero, QSeries.one(order)), (_unit_exp(nv, 0), lift)])
     dropped = xi_genfun(eps, M, N, r - 1, maxdeg, order).embed(nv, tuple(range(2, nv)))
-    rhs = (term + dropped * kernel(M, M, eps, order)) * bNM
+    rhs = (term + dropped * kernel(M, M, eps, order)) * bracket(N - M, order)
     return compare_polys("g-diff", params, lhs, rhs)
 
 
@@ -453,7 +526,7 @@ def verify_recurrence(eps: int, M: int, N: int, r: int, maxdeg: int, order: int)
     check_count(r, "r")
     params = {"eps": eps, "M": M, "N": N, "r": r, "maxdeg": maxdeg, "order": order}
     nv = 2 * r
-    one = QSeries.one(order)
+    zero = (0,) * nv
     # q^M - q^N, valid for M = 0 too; never a unit, so both sides carry it
     window_gap = QSeries.monomial(order, M) - QSeries.monomial(order, N)
 
@@ -461,22 +534,21 @@ def verify_recurrence(eps: int, M: int, N: int, r: int, maxdeg: int, order: int)
     if r == 0:
         lhs = lhs * window_gap
     else:
-        lhs = lhs * _poly(
-            nv,
-            maxdeg,
-            order,
-            [((0,) * nv, window_gap), (_unit_exp(nv, 0), -QSeries.monomial(order, M))],
-        )
+        gap = ((zero, ((M, 1), (N, -1))), (_unit_exp(nv, 0), ((M, -1),)))
+        lhs = lhs * _linear(nv, maxdeg, order, gap)
         for i in range(1, r):
             lhs = lhs * _pair_cap(nv, maxdeg, order, N, 2 * i - 1, 2 * i)
-        lhs = lhs * _poly(
-            nv, maxdeg, order, [((0,) * nv, bracket(N, order)), (_unit_exp(nv, nv - 1), -one)]
+        lhs = lhs * _linear(
+            nv, maxdeg, order, [(zero, _bracket(N)), (_unit_exp(nv, nv - 1), _MINUS_ONE)]
         )
 
     total = MultiPoly.zero(nv, maxdeg, order)
+    scaled = {}  # kappa(T) -> the boundary-scaled genfun on r - kappa(T) pairs
     for T in tilings(r):
         kap = kappa(T)
-        small = boundary_scaled(xi_genfun(eps, M, N, r - kap, maxdeg, order), N)
+        small = scaled.get(kap)
+        if small is None:
+            small = scaled[kap] = boundary_scaled(xi_genfun(eps, M, N, r - kap, maxdeg, order), N)
         survivors = tuple(p - 1 for p in range(1, nv + 1) if p not in set(T))
         scalar = kernel(N * kap, N, eps * kap, order)
         sign = (-1) ** eo_count(T)

@@ -87,12 +87,13 @@ from .words import (
     H0,
     AlgebraElement,
     BarIndex,
+    _index_from_word,
     bar_from_pairs,
     check_count,
     check_eps,
     check_index,
+    check_pairs,
     diamond_from_pairs,
-    index_from_word,
     pairs_from_sz,
     sz_from_pairs,
     word_in,
@@ -468,15 +469,30 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
 
 def xi_packed(eps: int, cs, *, N: int, order: int, M: int = 0) -> tuple:
     """(bits, walks): xi(eps, c) for every pair index c in cs, after the checks
-    of xi_value, as packed residues of one width from one walk of the trie."""
+    of xi_value, as packed residues from one walk of the trie, at a width
+    that is a multiple of 32 and holds each walk's L1 norm below
+    2^(bits - 1).  The slots of each pair (l, k) are built once per call;
+    every pair ends in its k-entry, so every index is admissible."""
     if check_eps(eps) == 0:
-        model, index = "dagger", bar_from_pairs
+        model, index = "dagger", lambda pair: bar_from_pairs(pair).entries
     else:
         model, index = "diamond-dagger", diamond_from_pairs
     check_order(order)
-    family = _SLOTS[model]
-    tuples = [family(_finite_entries(model, index(c), N, M)) for c in cs]
-    return _packed_walk(tuples, M + 1, N, order)
+    _finite_window(model, N, M)
+    blocks = {}  # (l, k) -> the slots of that one pair
+    tuples = []
+    for c in cs:
+        c = check_pairs(c)
+        slots = ()
+        for j in range(0, len(c), 2):
+            pair = c[j : j + 2]
+            block = blocks.get(pair)
+            if block is None:
+                block = blocks[pair] = _SLOTS[model](index(pair))
+            slots += block
+        tuples.append(slots)
+    bits = -(-_packed_bits(tuples, M + 1, N, order) // 32) * 32
+    return bits, _walk(tuples, M + 1, N, _PackedValues(order, bits))
 
 
 # -- infinite models --------------------------------------------------------------
@@ -581,7 +597,7 @@ def _word_sum(u: AlgebraElement, total, family, low, top, ring, param):
     checks the caller ran once.  Every index of a word in H1 has entries >= 1,
     which every family takes as it is."""
     for w, c in u.terms():
-        total = total + c * _model_sum(family, index_from_word(w), low, top, ring, param)
+        total = total + c * _model_sum(family, _index_from_word(w), low, top, ring, param)
     return total
 
 
@@ -650,7 +666,7 @@ def verify_bridge(w: str, N: int, q) -> Report:
     if not word_in(w, H1):
         raise MembershipError("element must lie in H1 (words empty or y-headed)")
     low, top = _finite_window("bz", N, 0)  # the dagger window too, at M = 0
-    k = index_from_word(w)
+    k = _index_from_word(w)
     lhs = _model_sum("dagger", k, low, top, _PointValues, Fraction(1) / q)
     rhs = (-1) ** len(w) * _model_sum("bz", k, low, top, _PointValues, q)
     return compare_values("bridge", {"word": w, "N": N, "q": str(q)}, lhs, rhs)

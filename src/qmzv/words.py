@@ -31,7 +31,6 @@ H0 = "H0"
 HGEQ2 = "HGEQ2"
 
 _WORD_RE = re.compile(r"[xy]*\Z")
-_INDEX_WORD_RE = re.compile(r"(yx*)*\Z")
 
 
 def check_word(w: str) -> str:
@@ -42,7 +41,11 @@ def check_word(w: str) -> str:
 
 def word_in(w: str, space: str) -> bool:
     """Basis membership of a single word in H1, H0 or HGEQ2."""
-    check_word(w)
+    return _word_in(check_word(w), space)
+
+
+def _word_in(w: str, space: str) -> bool:
+    """word_in for a word over x, y that is already checked."""
     if space == H1:
         return w == "" or w[0] == "y"
     if space == H0:
@@ -173,7 +176,8 @@ class AlgebraElement:
         return f"AlgebraElement({format_element(self)!r})"
 
     def in_space(self, space: str) -> bool:
-        return all(word_in(w, space) for w in self._terms)
+        # every word of an element was checked when the element was built
+        return all(_word_in(w, space) for w in self._terms)
 
 
 def theta(u: AlgebraElement) -> AlgebraElement:
@@ -246,9 +250,13 @@ def word_from_index(k: Sequence[int]) -> str:
 
 def index_from_word(w: str) -> tuple:
     """Inverse of word_from_index; defined on basis words of H1 only."""
-    check_word(w)
-    if not _INDEX_WORD_RE.match(w):
+    if not word_in(w, H1):
         raise MembershipError(f"word {w!r} is not in H1 (must be empty or start with y)")
+    return _index_from_word(w)
+
+
+def _index_from_word(w: str) -> tuple:
+    """index_from_word for a word already known to lie in H1."""
     return tuple(len(block) + 1 for block in w.split("y")[1:])
 
 

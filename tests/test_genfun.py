@@ -305,6 +305,23 @@ def random_terms(rng, nvars, maxdeg, order=ORACLE_ORDER):
     return {e: random_series(rng, order) if i else QSeries.zero(order) for i, e in enumerate(picked)}
 
 
+def random_linear(rng, nvars, maxdeg, order=ORACLE_ORDER):
+    """Entries for genfun._linear and their dense reference.  Exponents reach
+    maxdeg + 1 and digits order + 2, so some of each are dropped."""
+    entries, dense = [], {}
+    exps = list(product(range(maxdeg + 2), repeat=nvars))
+    for e in rng.sample(exps, rng.randint(0, min(len(exps), 4))):
+        ds = tuple((t, rng.choice((1, -1))) for t in rng.sample(range(order + 3), rng.randint(1, 2)))
+        entries.append((e, ds))
+        coeffs = [0] * (order + 1)
+        for t, sign in ds:
+            if t <= order:
+                coeffs[t] += sign
+        if max(e, default=0) <= maxdeg:
+            dense[e] = QSeries(order, coeffs)
+    return entries, dense_clean(dense)
+
+
 def assert_matches(poly, dense):
     dense = dense_clean(dense)
     assert dict(poly.terms()) == dense
@@ -318,7 +335,7 @@ def assert_matches(poly, dense):
 @pytest.mark.parametrize("seed", range(12))
 def test_packed_multipoly_matches_dense_reference(seed):
     rng = random.Random(seed)
-    widths = set()
+    widths, linear_widths = set(), set()
     for nvars in range(5):
         maxdeg = rng.randint(0, 2)
         ta, tb = (random_terms(rng, nvars, maxdeg) for _ in range(2))
@@ -341,9 +358,22 @@ def test_packed_multipoly_matches_dense_reference(seed):
             ((a * b) * (a - b), dense_mul(dense_mul(ta, tb, maxdeg), dense_add(ta, minus_b), maxdeg)),
             (a - a, {}),
         ]
+        # the shift path: a linear factor on either side of *
+        entries, tl = random_linear(rng, nvars, maxdeg)
+        lin = genfun._linear(nvars, maxdeg, ORACLE_ORDER, entries)
+        zero = genfun._linear(nvars, maxdeg, ORACLE_ORDER, [((0,) * nvars, ((ORACLE_ORDER + 1, 1),))])
+        shifted = [
+            (a * lin, dense_mul(ta, tl, maxdeg)),
+            (lin * b, dense_mul(tl, tb, maxdeg)),
+            (lin * lin, dense_mul(tl, tl, maxdeg)),
+            (a * zero, {}),
+            (zero * b, {}),
+        ]
+        results += [(lin, tl), (zero, {})] + shifted
         for poly, dense in results:
             assert_matches(poly, dense)
             widths.add(poly.bits)
+        linear_widths.update(poly.bits for poly, _ in shifted)
         positions = tuple(rng.sample(range(nvars + 1), nvars))
         assert_matches(a.embed(nvars + 1, positions), dense_embed(ta, nvars + 1, positions))
         assert (a == b) == (ta == tb)
@@ -354,6 +384,29 @@ def test_packed_multipoly_matches_dense_reference(seed):
             bump[e] = ta[e] + QSeries.monomial(ORACLE_ORDER, ORACLE_ORDER)
             assert a != MultiPoly(nvars, maxdeg, ORACLE_ORDER, bump)
     assert max(widths) > 96
+    assert max(linear_widths) > 64
+
+
+@pytest.mark.parametrize(
+    "eps, M, N, r, maxdeg, order, walk_bits, bits",
+    [
+        (0, 0, 4, 2, 2, ORDER, 32, 32),  # leaves kept at the walk's width
+        (1, 0, 2, 1, 2, 100, 64, 64),
+        (1, 0, 9, 1, 2, 30, 64, 32),  # the low word of each 64-bit digit
+        (1, 10, 14, 3, 1, 100, 96, 32),  # the low word of each 96-bit digit
+        (1, 2, 6, 3, 1, 100, 96, 64),  # decoded: a mass that needs 64 bits
+    ],
+)
+def test_xi_genfun_leaf_widths(eps, M, N, r, maxdeg, order, walk_bits, bits):
+    exps = list(product(range(maxdeg + 1), repeat=2 * r))
+    cs = [tuple(x + 1 for x in e) for e in exps]
+    assert models.xi_packed(eps, cs, N=N, M=M, order=order)[0] == walk_bits
+    leaves = {e: xi_value(eps, c, N=N, M=M, order=order) for e, c in zip(exps, cs)}
+    want = MultiPoly(2 * r, maxdeg, order, leaves)
+    got = xi_genfun(eps, M, N, r, maxdeg, order)
+    assert (got.bits, got.mass, got.terms()) == (want.bits, want.mass, want.terms())
+    assert got.bits == bits
+    assert got.mass == sum(sum(map(abs, s.coeffs)) for _, s in got.terms()) > 0
 
 
 def test_large_order_identities_need_wide_words():

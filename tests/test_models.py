@@ -25,6 +25,7 @@ from qmzv.series import (
 )
 from qmzv.words import (
     BAR1,
+    AlgebraElement,
     BarIndex,
     bar_from_pairs,
     diamond_from_pairs,
@@ -489,6 +490,19 @@ def test_z_map_membership():
         models.z_map("dagger_finite", "y", order=5)  # missing N
     with pytest.raises(ParameterError):
         models.z_map("classical", "y")  # missing N
+
+
+def test_z_map_membership_messages():
+    # each word is checked once, with the messages of the checked helpers
+    for model, u, kwargs, error, message in (
+        ("dagger_finite", "yz", dict(N=2, order=5), ParameterError, "not a word over x,y"),
+        ("dagger_finite", "xy", dict(N=2, order=5), MembershipError, "element must lie in H1"),
+        ("bz_inf", "y", dict(order=5), MembershipError, "infinite bz evaluation needs H0"),
+        ("classical", AlgebraElement({"yx": 1, "x": 2}), dict(N=3), MembershipError,
+         "element must lie in H1"),
+    ):
+        with pytest.raises(error, match=message):
+            models.z_map(model, u, **kwargs)
 
 
 def test_z_map_refuses_unused_windows():
