@@ -45,10 +45,9 @@ The leaves of xi_genfun are walked at the walker's bound rounded up to a
 multiple of 32 bits.  Every xi value has nonnegative coefficients, and the
 bound keeps each leaf's L1 norm below 2^(bits-1), so a leaf's residue holds
 its coefficients as plain digits and its L1 norm is their sum, the residue
-mod 2^bits - 1: the mass is exact without a decode.  When the polynomial's
-width is the walk's, the residues are kept as they are; when it is 32 and
-the walk is wider, every digit lies below 2^30 and the low 32-bit word of
-each is kept; any other width decodes each leaf and packs it again.
+mod 2^bits - 1: the mass is exact without a decode.  series.repack then
+moves each leaf to the width that mass needs, as it does every width change
+of a MultiPoly.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .combinat import eo_count, kappa, tilings
 from .errors import OrderMismatchError, ParameterError
 from .models import check_order, check_window, xi_packed
 from .report import Report
-from .series import QSeries, bracket, inv_bracket_pow, kernel, layout, pack, unpack
+from .series import QSeries, inv_bracket_pow, kernel, layout, pack, repack, unpack
 from .words import check_count, check_eps
 
 
@@ -155,14 +154,8 @@ class MultiPoly:
         return cls(nvars, maxdeg, order, {(0,) * nvars: QSeries.one(order)})
 
     def _at(self, bits: int) -> dict:
-        """The packed terms at a width of at least self.bits."""
-        if bits == self.bits:
-            return self._terms
-        order = self.order
-        return {
-            code: pack(unpack(r, self.bits, order), bits)
-            for code, r in self._terms.items()
-        }
+        """The packed terms at a width of at least self.bits, in a new dict."""
+        return {code: repack(r, self.bits, bits, self.order) for code, r in self._terms.items()}
 
     def _series(self, residue: int) -> QSeries:
         return QSeries(self.order, unpack(residue, self.bits, self.order))
@@ -203,9 +196,8 @@ class MultiPoly:
     def _plus(self, other: "MultiPoly", sign: int) -> "MultiPoly":
         self._require_compatible(other)
         mass = self.mass + other.mass
-        bits, a, b = self._widths(other, mass)
+        bits, merged, b = self._widths(other, mass)
         mask = layout(bits, self.order)[0]
-        merged = dict(a)
         for code, r in b.items():
             value = (merged.get(code, 0) + sign * r) & mask
             if value:
@@ -252,13 +244,13 @@ class MultiPoly:
             return NotImplemented
         self._require_compatible(other)
         mass = self.mass * other.mass
+        bits = max(self.bits, other.bits, _bits_for(mass))
         valid = _exponents(self.nvars, self.maxdeg)
         out: dict[int, int] = {}
         get = out.get
         dense, linear = (self, other) if other._digits is not None else (other, self)
         if linear._digits is not None:
             # each term product is a few shifted, signed copies of a residue
-            bits = max(self.bits, other.bits, _bits_for(mass))
             shifts = [
                 (c2, [(bits * t, sign) for t, sign in ds]) for c2, ds in linear._digits.items()
             ]
@@ -274,7 +266,7 @@ class MultiPoly:
                                 value -= r1 << shift
                         out[c] = value
         else:
-            bits, a, b = self._widths(other, mass)
+            a, b = self._at(bits), other._at(bits)
             for c1, r1 in a.items():
                 for c2, r2 in b.items():
                     c = c1 + c2
@@ -384,9 +376,9 @@ def xi_genfun(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> Mult
     (maxdeg + 1)^(2r) pair indices, which shares the slots that leaves
     have in common at their ends, at a width that is a multiple of 32.  The
     polynomial's mass is the exact L1 norm, read from each leaf's digit sum,
-    and its width is the one that mass needs; no leaf is decoded unless that
-    width is neither the walk's nor 32 (module docstring).  The leaves are
-    not kept in the models cache."""
+    and series.repack moves every leaf to the width that mass needs, so no
+    leaf is decoded (module docstring).  The leaves are not kept in the
+    models cache."""
     check_eps(eps)
     check_window(M, N)
     check_count(r, "r")
@@ -405,15 +397,7 @@ def _xi_genfun(eps, M, N, r, maxdeg, order):
     leaves = {code: walk for code, walk in zip(table, walks) if walk}
     mass = sum(walk % ones for walk in leaves.values())
     out = _bits_for(mass)
-    if out == 32 < bits:
-        # every digit lies below 2^30: keep the low 32-bit word of each
-        size, step = bits * (order + 1) // 8, bits // 32
-        leaves = {
-            code: int.from_bytes(memoryview(walk.to_bytes(size, "little")).cast("I")[::step], "little")
-            for code, walk in leaves.items()
-        }
-    elif out != bits:
-        leaves = {code: pack(unpack(walk, bits, order), out) for code, walk in leaves.items()}
+    leaves = {code: repack(walk, bits, out, order) for code, walk in leaves.items()}
     return MultiPoly.zero(2 * r, maxdeg, order)._make(out, mass, leaves)
 
 
@@ -509,7 +493,8 @@ def verify_g_diff(eps: int, M: int, N: int, r: int, maxdeg: int, order: int) -> 
         lift = kernel(M, M, 1, order)
         term = term * _poly(nv, maxdeg, order, [(zero, QSeries.one(order)), (_unit_exp(nv, 0), lift)])
     dropped = xi_genfun(eps, M, N, r - 1, maxdeg, order).embed(nv, tuple(range(2, nv)))
-    rhs = (term + dropped * kernel(M, M, eps, order)) * bracket(N - M, order)
+    closing = _linear(nv, maxdeg, order, [(zero, _bracket(N - M))])
+    rhs = (term + dropped * kernel(M, M, eps, order)) * closing
     return compare_polys("g-diff", params, lhs, rhs)
 
 
@@ -528,7 +513,7 @@ def verify_recurrence(eps: int, M: int, N: int, r: int, maxdeg: int, order: int)
     nv = 2 * r
     zero = (0,) * nv
     # q^M - q^N, valid for M = 0 too; never a unit, so both sides carry it
-    window_gap = QSeries.monomial(order, M) - QSeries.monomial(order, N)
+    window_gap = _linear(nv, maxdeg, order, [(zero, ((M, 1), (N, -1)))])
 
     lhs = xi_genfun(eps, M, N + 1, r, maxdeg, order)
     if r == 0:

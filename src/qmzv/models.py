@@ -109,6 +109,8 @@ def check_window(M: int, N: int, least: int = 0):
 
 
 def check_q_sample(q) -> Fraction:
+    if isinstance(q, float):
+        raise ParameterError(f"q sample must be exact, got the float {q!r}")
     q = Fraction(q)
     if q in (0, 1, -1):
         raise ParameterError(f"q sample must avoid 0, 1 and -1, got {q}")

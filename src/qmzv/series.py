@@ -10,11 +10,13 @@ Binary operations require both operands to carry the same order.  A mismatch
 raises OrderMismatchError instead of silently truncating, so precision is
 always explicit at the call site.
 
-The packed codec (layout, pack, unpack, packed_kernel) stores an integer
-series truncated at the order as one int, its value at q = 2^bits reduced mod
-2^(bits (order+1)): a ring homomorphism (Kronecker substitution), so add,
-negate and multiply are int operations and a mask.  Balanced digits decode
-exactly when every coefficient lies in [-2^(bits-1), 2^(bits-1)).
+The packed codec (layout, pack, unpack, repack, packed_kernel) stores an
+integer series truncated at the order as one int, its value at q = 2^bits
+reduced mod 2^(bits (order+1)): a ring homomorphism (Kronecker substitution),
+so add, negate and multiply are int operations and a mask.  Balanced digits
+decode exactly when every coefficient lies in [-2^(bits-1), 2^(bits-1)).
+repack moves a residue to another width without decoding it; both widths
+must be multiples of 32 and every coefficient must fit the smaller one.
 """
 
 from __future__ import annotations
@@ -269,6 +271,25 @@ def unpack(residue: int, bits: int, order: int) -> list:
     mask, offset = layout(bits, order)
     value, digit, half = (residue + offset) & mask, (1 << bits) - 1, 1 << (bits - 1)
     return [((value >> shift) & digit) - half for shift in range(0, bits * (order + 1), bits)]
+
+
+def repack(residue: int, bits: int, new: int, order: int) -> int:
+    """The same series at width new, both widths multiples of 32 and every
+    coefficient in [-2^(h-1), 2^(h-1)) for the smaller width h."""
+    if new == bits:
+        return residue
+    # half an h-bit digit added to every digit makes them all lie in
+    # [0, 2^h): no borrows, and each digit's low h/32 words carry it
+    h = min(bits, new)
+    mask, offset = layout(bits, order)
+    value = (residue + (offset >> (bits - h))) & mask
+    source = memoryview(value.to_bytes(bits * (order + 1) // 8, "little")).cast("I")
+    moved = bytearray(new * (order + 1) // 8)
+    target = memoryview(moved).cast("I")
+    for word in range(h // 32):
+        target[word :: new // 32] = source[word :: bits // 32]
+    mask, offset = layout(new, order)
+    return (int.from_bytes(moved, "little") - (offset >> (new - h))) & mask
 
 
 def packed_kernel(a: int, m: int, k: int, order: int, bits: int) -> int:

@@ -19,7 +19,7 @@ from qmzv.genfun import (
     xi_genfun,
 )
 from qmzv.models import xi_value
-from qmzv.series import QSeries, bracket, inv_bracket_pow
+from qmzv.series import QSeries, bracket, inv_bracket_pow, repack
 
 
 ORDER = 10
@@ -390,11 +390,11 @@ def test_packed_multipoly_matches_dense_reference(seed):
 @pytest.mark.parametrize(
     "eps, M, N, r, maxdeg, order, walk_bits, bits",
     [
-        (0, 0, 4, 2, 2, ORDER, 32, 32),  # leaves kept at the walk's width
-        (1, 0, 2, 1, 2, 100, 64, 64),
-        (1, 0, 9, 1, 2, 30, 64, 32),  # the low word of each 64-bit digit
-        (1, 10, 14, 3, 1, 100, 96, 32),  # the low word of each 96-bit digit
-        (1, 2, 6, 3, 1, 100, 96, 64),  # decoded: a mass that needs 64 bits
+        (0, 0, 4, 2, 2, ORDER, 32, 32),  # 32 -> 32
+        (1, 0, 2, 1, 2, 100, 64, 64),  # 64 -> 64
+        (1, 0, 9, 1, 2, 30, 64, 32),  # 64 -> 32
+        (1, 10, 14, 3, 1, 100, 96, 32),  # 96 -> 32
+        (1, 2, 6, 3, 1, 100, 96, 64),  # 96 -> 64
     ],
 )
 def test_xi_genfun_leaf_widths(eps, M, N, r, maxdeg, order, walk_bits, bits):
@@ -413,3 +413,28 @@ def test_large_order_identities_need_wide_words():
     assert xi_genfun(1, 0, 9, 2, 2, 100).bits > 32
     assert verify_recurrence(1, 0, 8, 2, 2, 100).passed
     assert verify_g_diff(1, 2, 8, 2, 2, 100).passed
+
+
+def test_identities_never_decode(monkeypatch):
+    # equality and every width change act on residues; only terms() and
+    # coeff() decode, to name a mismatch or read a coefficient
+    def refuse(*args):
+        raise AssertionError("a residue was decoded")
+
+    widths = set()
+
+    def spy(residue, bits, new, order):
+        widths.add((bits, new))
+        return repack(residue, bits, new, order)
+
+    monkeypatch.setattr(genfun, "unpack", refuse)
+    monkeypatch.setattr(genfun, "repack", spy)
+    genfun._xi_genfun.cache_clear()  # build the leaves under the patch
+    assert verify_recurrence(1, 0, 8, 2, 2, 100).passed
+    assert verify_g_diff(1, 2, 8, 2, 2, 100).passed
+    assert verify_b_diff(1, 2, 8, 2, 100).passed
+    narrow = MultiPoly.one(1, 1, ORDER)
+    wide = MultiPoly(1, 1, ORDER, {(1,): QSeries.monomial(ORDER, 1, 1 << 40)})
+    assert (narrow.bits, wide.bits) == (32, 64)
+    assert narrow * wide == wide
+    assert {(32, 64), (64, 32), (96, 64)} <= widths

@@ -779,6 +779,19 @@ def test_bridge_example_values():
     assert -models.z_map_at_q("bz", "y", 2, N=2) == 1
 
 
+def test_float_q_samples_are_refused():
+    # 0.1 is the binary fraction 3602879701896397 / 2^55, not 1/10
+    for call in (
+        lambda q: models.eval_at_rational_q("bz", (2,), q, N=3),
+        lambda q: models.z_map_at_q("bz", "yx", q, N=3),
+        lambda q: models.verify_bridge("yx", 3, q),
+    ):
+        for q in (0.1, 2.0):
+            with pytest.raises(ParameterError, match="must be exact"):
+                call(q)
+        call(Fraction(1, 10))
+
+
 # -- structural invariants ----------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from qmzv.series import (
     pack,
     packed_kernel,
     pow_kernel,
+    repack,
     series_from_json,
     series_to_json,
     unpack,
@@ -117,6 +118,20 @@ def test_pack_unpack_round_trip(data, bits, order):
     residue = pack(coeffs, bits)
     assert 0 <= residue <= layout(bits, order)[0]
     assert unpack(residue, bits, order) == coeffs
+
+
+WIDTHS = (32, 64, 96, 128, 160)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(WIDTHS), st.sampled_from(WIDTHS), st.integers(0, 40))
+def test_repack_matches_decode_and_encode(data, bits, new, order):
+    # every coefficient fits the smaller width, the bounds of its range included
+    half = 1 << (min(bits, new) - 1)
+    coeff = st.one_of(st.sampled_from((-half, -half + 1, half - 1, 0)), st.integers(-half, half - 1))
+    coeffs = data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    residue = pack(coeffs, bits)
+    assert repack(residue, bits, new, order) == pack(unpack(residue, bits, order), new)
 
 
 @settings(max_examples=60, deadline=None)
