@@ -4,9 +4,9 @@ Every model here is a sum over tuples M < n_1 (<= or <) n_2 ... < N (finite
 window) or 0 < n_1 < n_2 < ... (infinite, truncated at the series order) of a
 product of one factor per position.  Every factor has one shape,
 
-    q^(s x) / (1-q^x)^k,   x = n, or x = N - n at the top boundary,
+    c q^(s x) / (1-q^x)^k,   x = n, or x = N - n at the top boundary,
 
-with s and k fixed per position:
+with s and k fixed per position and c = 1 but in zeta_poly:
 
     s = 1       q^n / (1-q^n)^k           dagger entries
     s = k - 1   q^(n(k-1)) / (1-q^n)^k    bz entries
@@ -14,8 +14,7 @@ with s and k fixed per position:
     s = 0       1 / (1-q^(N-n))           bar entries, finite sums (k = 1)
     s = 1       q^(N-n) / (1-q^(N-n))     boundary of the bz models (k = 1)
     s = 0       1                         bar entries, infinite sums (k = 0)
-
-and zeta_poly replaces q^(s x) by a numerator polynomial Q(q^n).
+    s = t       c q^(nt) / (1-q^n)^k      zeta_poly, a numerator term c q^(nt)
 
 Every model is a tuple of slots (the factor choices at each position), a
 range [low, top) for the variables, and a value ring.  A finite window has
@@ -31,7 +30,9 @@ the positions j, j+1, ... with lower bound lo.  It telescopes,
     S_j(lo) = S_j(lo + 1) + sum over the choices of f(lo) S_(j+1)(lo + gap),
 
 so S_j depends only on the suffix of slots j, j+1, ..., and the walker fills
-it from lo = top - 1 down, from the last slot to the first.  It takes many
+it from lo = top - 1 down, from the last slot to the first.  The choices of
+one gap add their factors first, so each gap costs one product per lo,
+however many numerator terms it holds.  It takes many
 slot tuples at once and keeps their suffixes as a trie keyed by slot, from
 the last slot to the first; a single model is the call with one tuple.
 Depth first from the empty tail, on an explicit stack with no recursion, it
@@ -39,24 +40,29 @@ fills each distinct suffix's S once, for lo from its last value,
 top - 1 - (the strict steps of the suffix's slots but its last), down to its
 first, low + (the fewest strict steps before it in any tuple through it).
 Above last S is zero, and below first no tuple reads it.  Each call keeps a
-table of the kernels (a, m, k) it has built, dropped when the call returns,
-so a kernel shared by slots, suffixes and tuples is built once per call.
+table of the kernels c q^a/(1-q^m)^k it has built, dropped when the call
+returns, so a kernel shared by slots, suffixes and tuples is built once per
+call.
 
 The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
-the classical limits, where every factor 1/x^k is held as the integer
-(L/x)^k with L = lcm(1, ..., top - 1) and a walk is divided once by L^K, K
+the classical limits, where every factor c/x^k is held as the integer
+c (L/x)^k with L = lcm(1, ..., top - 1) and a walk is divided once by L^K, K
 the sum of the slots' k (one per slot), and integer q-series packed by
 series.pack: add is an int add, mul one bigint multiply (Kronecker
 substitution), and each stored S_j(lo) is cut back to order + 1 digits by a
 mask.  The walk decodes exactly while every coefficient lies below
 2^(bits-1) in absolute value.  The bound that fixes bits: coefficientwise
-|q^a/(1-q^m)^k| <= 1/(1-q)^k, a numerator multiplies that by at most its L1
-norm, and each variable takes at most top - low values, so no suffix
-coefficient exceeds prod_j (top - low) w_j * C(order + K, K), with w_j the
-sum over slot j's choices of their numerators' L1 norms (1 without one) and
-K the sum of the largest k per slot.  A call with many tuples walks at the
-largest of their widths, which holds every suffix of each.  zeta_poly clears
-its numerators' denominators first and divides its walk once at the end.
+|c q^a/(1-q^m)^k| <= |c|/(1-q)^k and each variable takes at most
+top - low values, so no suffix coefficient exceeds prod_j (top - low) w_j *
+C(order + K, K), with w_j the sum of |c| over slot j's choices (their number
+when every c is 1) and K the sum of the largest k per slot.  A call with
+many tuples walks at the largest of their widths, which holds every suffix
+of each.
+
+zeta_poly is linear in each numerator Q_j, so its slot j holds one choice
+c q^(n t)/(1-q^n)^(k_j) per nonzero term c q^t of Q_j, with the numerators'
+denominators cleared first and divided out once at the end; w_j is then the
+L1 norm of the cleared Q_j.
 
 The finite and infinite entry points check their arguments and call
 _model_sum, one cached walk per family, index, range and ring.  The table
@@ -72,10 +78,11 @@ enumerated range contributes nothing below the truncation order.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm, prod
-from operator import attrgetter
+from numbers import Rational
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, MembershipError, ParameterError
@@ -109,8 +116,14 @@ def check_window(M: int, N: int, least: int = 0):
 
 
 def check_q_sample(q) -> Fraction:
+    """An int, a rational or a finite Decimal q as an exact Fraction, away
+    from 0, 1 and -1; a float, a string, a NaN or infinite Decimal or
+    anything else is refused with ParameterError."""
     if isinstance(q, float):
         raise ParameterError(f"q sample must be exact, got the float {q!r}")
+    if not isinstance(q, (Rational, Decimal)) or isinstance(q, Decimal) and not q.is_finite():
+        raise ParameterError("q sample must be an int, a rational or a finite Decimal, "
+                             f"got {q!r}")
     q = Fraction(q)
     if q in (0, 1, -1):
         raise ParameterError(f"q sample must avoid 0, 1 and -1, got {q}")
@@ -144,8 +157,9 @@ class _PackedValues:
         self.bits = bits
         self.mask = layout(bits, order)[0]
 
-    def kernel(self, a, m, k):
-        return packed_kernel(a, m, k, self.order, self.bits)
+    def kernel(self, a, m, k, c):
+        value = packed_kernel(a, m, k, self.order, self.bits)
+        return value if c == 1 else c * value
 
     def trunc(self, value):
         return value & self.mask
@@ -156,23 +170,17 @@ def _packed_bits(tuples, low, top, order) -> int:
     these slot tuples.
 
     For each tuple 2^(bits - 1) lies above
-    prod_j max(top - low, 1) max(w_j, 1) * C(order + K, K), the bound of the
-    module docstring; no factor is below one, so it also bounds every
-    shorter suffix and the empty tail, whose value is one (two bits)."""
+    prod_j max(top - low, 1) w_j * C(order + K, K), the bound of the module
+    docstring, with w_j >= 1 the sum of |c| over slot j's choices; no factor
+    is below one, so it also bounds every shorter suffix and the empty tail,
+    whose value is one (two bits)."""
     width, bits = max(top - low, 1), 2
-    factors = {}  # slot -> (its factor of the bound, its largest k)
     for slots in tuples:
         bound, K = 1, 0
         for slot in slots:
-            factor = factors.get(slot)
-            if factor is None:
-                weight = k = 0
-                for choice in slot:
-                    weight += 1 if choice.poly is None else sum(map(abs, choice.poly))
-                    k = max(k, choice.k)
-                factor = factors[slot] = width * max(weight, 1), k
-            bound *= factor[0]
-            K += factor[1]
+            weight, k, _, _ = _plan(slot)
+            bound *= width * weight
+            K += k
         bits = max(bits, (bound * comb(order + K, K)).bit_length() + 1)
     return bits
 
@@ -198,18 +206,18 @@ class _PointValues:
         self.one = Fraction(1)
         self.zero = Fraction(0)
 
-    def kernel(self, a, m, k):
-        # with q = n/d: q^a / (1-q^m)^k = n^a d^(mk) / (d^a (d^m - n^m)^k),
+    def kernel(self, a, m, k, c):
+        # with q = n/d: c q^a / (1-q^m)^k = c n^a d^(mk) / (d^a (d^m - n^m)^k),
         # one Fraction built from integer powers
         n, d = self.q.numerator, self.q.denominator
         b = d**m - n**m
         if b == 0:
             raise ParameterError(f"1 - q^{m} vanishes at q = {self.q}")
-        return Fraction(n**a * d ** (m * k), d**a * b**k)
+        return Fraction(c * n**a * d ** (m * k), d**a * b**k)
 
 
 class _ClassicalValues:
-    """The classical limit 1/m^k times scale^k, for m dividing scale."""
+    """The classical limit c/m^k times scale^k, for m dividing scale."""
 
     trunc = staticmethod(_same)
     one = 1
@@ -218,8 +226,8 @@ class _ClassicalValues:
     def __init__(self, scale: int):
         self.scale = scale
 
-    def kernel(self, a, m, k):
-        return (self.scale // m) ** k
+    def kernel(self, a, m, k, c):
+        return c * (self.scale // m) ** k
 
 
 def _classical_walk(slots, low, top) -> Fraction:
@@ -240,19 +248,26 @@ def _classical_walk(slots, low, top) -> Fraction:
 
 
 class _Choice(NamedTuple):
-    """The factor q^(s x) / (1-q^x)^k at a variable n, where x = top - n if
-    reflected and x = n otherwise.  gap 1 forces the next variable strictly
-    above n, gap 0 allows a tie.  A poly (c_0, c_1, ...) replaces q^(s x) by
-    the numerator sum of c_t q^(t x)."""
+    """The factor c q^(s x) / (1-q^x)^k at a variable n, where x = top - n
+    if reflected and x = n otherwise.  gap 1 forces the next variable
+    strictly above n, gap 0 allows a tie.  It is the one factor shape of the
+    walker: a numerator polynomial enters as one choice per nonzero term
+    c q^(s n) (zeta_poly)."""
 
     s: int
     k: int
     gap: int = 1
     reflected: bool = False
-    poly: tuple | None = None
+    c: int = 1
 
 
-_GAP = attrgetter("gap")
+@lru_cache(maxsize=4096)
+def _plan(slot) -> tuple:
+    """(sum of |c|, largest k, least gap, choices by gap) of a slot, the last
+    as ((gap, ((s, k, reflected, c), ...)), ...)."""
+    gaps = sorted({choice.gap for choice in slot})
+    parts = tuple((g, tuple((s, k, r, c) for s, k, gap, r, c in slot if gap == g)) for g in gaps)
+    return sum(abs(choice.c) for choice in slot), max(choice.k for choice in slot), gaps[0], parts
 
 
 def _walk(tuples, low, top, vals) -> list:
@@ -262,19 +277,19 @@ def _walk(tuples, low, top, vals) -> list:
     kern, trunc, zero, one = vals.kernel, vals.trunc, vals.zero, vals.one
     width = top - low + 1
     # A trie node is one suffix: [children by slot, last n, first n, tuples
-    # it completes, strict step of its slot].  Strict steps confine n_j to
-    # [low + steps before j, top - 1 - steps from j to the last slot], so a
-    # node's last n is fixed by its suffix, and its first n is the least
-    # over the tuples through it.
-    root = [{}, top - 1, low, [], 0]
+    # it completes, strict step of its slot, its slot's choices by gap].
+    # Strict steps confine n_j to [low + steps before j, top - 1 - steps from
+    # j to the last slot], so a node's last n is fixed by its suffix, and its
+    # first n is the least over the tuples through it.
+    root = [{}, top - 1, low, [], 0, ()]
     for i, slots in enumerate(tuples):
         path, node = [], root
         for slot in reversed(slots):
             child = node[0].get(slot)
             if child is None:
-                step = min(map(_GAP, slot))
+                _, _, step, parts = _plan(slot)
                 last = top - 1 if node is root else node[1] - step
-                child = node[0][slot] = [{}, last, top, [], step]
+                child = node[0][slot] = [{}, last, top, [], step, parts]
             path.append(child)
             node = child
         node[3].append(i)
@@ -284,38 +299,30 @@ def _walk(tuples, low, top, vals) -> list:
                 node[2] = first
             first += node[4]
     out = [one] * len(tuples)  # the empty tuple sums to one
-    kernels = {}  # (a, m, k) -> kernel value, for this call only
+    kernels = {}  # (a, m, k, c) -> kernel value, for this call only
     get = kernels.get
     # depth first from the empty tail: above last S_j is zero, below first it
-    # is never read
-    stack = [(slot, child, [one] * width) for slot, child in root[0].items()]
+    # is never read; the choices of one gap share one product per n
+    stack = [(child, [one] * width) for child in root[0].values()]
     while stack:
-        slot, (children, last, first, ends, _), below = stack.pop()
+        (children, last, first, ends, _, parts), below = stack.pop()
         here = [zero] * width  # S_j(top) is the empty sum
         total = zero
         for n in range(last, first - 1, -1):
-            for s, k, gap, reflected, poly in slot:
-                x = top - n if reflected else n
-                if poly is None:
-                    key = (s * x, x, k)
-                    f = get(key)
-                    if f is None:
-                        f = kernels[key] = kern(*key)
-                else:
-                    f = zero
-                    for t, c in enumerate(poly):
-                        if c:
-                            key = (t * x, x, k)
-                            g = get(key)
-                            if g is None:
-                                g = kernels[key] = kern(*key)
-                            f = f + c * g
+            for gap, choices in parts:
+                f = None
+                for s, k, reflected, c in choices:
+                    x = top - n if reflected else n
+                    key = (s * x, x, k, c)
+                    g = get(key)
+                    if g is None:
+                        g = kernels[key] = kern(*key)
+                    f = g if f is None else f + g
                 total = total + f * below[n - low + gap]
             here[n - low] = total = trunc(total)
         for i in ends:
             out[i] = here[0]
-        for slot, child in children.items():
-            stack.append((slot, child, here))
+        stack.extend((child, here) for child in children.values())
     return out
 
 
@@ -522,7 +529,9 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
 
     deg Q_j <= k_j is required, and the last polynomial must vanish at 0 so
     the sum converges.  Polynomials are coefficient sequences, low degree
-    first, with int or Fraction entries.
+    first, with int or Fraction entries (a bool is refused).  Each nonzero
+    term c q^t of Q_j is one choice c q^(n t)/(1-q^n)^(k_j) of slot j, so
+    the sum is one walk (module docstring).
     """
     k = check_index(k)
     check_order(order)
@@ -536,7 +545,7 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
         raise ParameterError(f"need {len(k)} polynomials, got {len(polys)}")
     for j, cs in enumerate(polys):
         for c in cs:
-            if not isinstance(c, (int, Fraction)):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ParameterError(f"polynomial coefficient {c!r} is not exact")
         if len(cs) > k[j] + 1:
             raise ParameterError(
@@ -547,9 +556,11 @@ def zeta_poly(k, polys, *, order: int) -> QSeries:
     # clear each numerator's denominators, walk over the integers, divide once
     scales = [lcm(*(c.denominator for c in cs)) for cs in polys]
     slots = tuple(
-        (_Choice(0, kj, poly=tuple(c.numerator * (scale // c.denominator) for c in cs)),)
+        tuple(_Choice(t, kj, c=int(c * scale)) for t, c in enumerate(cs) if c)
         for kj, cs, scale in zip(k, polys, scales)
     )
+    if not all(slots):  # a zero numerator
+        return QSeries.zero(order)
     walk, scale = _series_walk(slots, 1, order + 1, order), prod(scales)
     return walk if scale == 1 else QSeries(order, [Fraction(c, scale) for c in walk.coeffs])
 

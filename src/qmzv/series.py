@@ -341,13 +341,14 @@ def series_to_json(s: QSeries) -> dict:
 
 
 def series_from_json(data: dict) -> QSeries:
+    """The series of a series_to_json document.  The order must be an int
+    (QSeries checks it) and the coefficients a list of strings that Fraction
+    reads exactly; ParameterError otherwise."""
     try:
-        order = int(data["order"])
-        raw = data["coeffs"]
-    except (KeyError, TypeError) as exc:
+        order, raw = data["order"], data["coeffs"]
+        if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
+            raise TypeError(f"coefficients must be a list of strings, got {raw!r}")
+        coeffs = [Fraction(text) for text in raw]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"malformed series document: {exc}") from exc
-    coeffs = []
-    for text in raw:
-        f = Fraction(text)
-        coeffs.append(f.numerator if f.denominator == 1 else f)
-    return QSeries(order, coeffs)
+    return QSeries(order, [f.numerator if f.denominator == 1 else f for f in coeffs])

@@ -206,10 +206,16 @@ def element_to_json(u: AlgebraElement) -> dict:
 
 
 def element_from_json(data: dict) -> AlgebraElement:
+    """The element of an element_to_json document.  Every coefficient must be
+    an int (not a bool) or an integer string, and every word a word over x,
+    y (AlgebraElement checks it); ParameterError otherwise."""
     try:
-        items = data["terms"]
-        terms = {t["word"]: int(t["coeff"]) for t in items}
-    except (KeyError, TypeError) as exc:
+        items = [(t["word"], t["coeff"]) for t in data["terms"]]
+        bad = [c for _, c in items if isinstance(c, bool) or not isinstance(c, (int, str))]
+        if bad:
+            raise TypeError(f"coefficient {bad[0]!r} is neither an int nor an integer string")
+        terms = {w: int(c) for w, c in items}
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed element document: {exc}") from exc
     return AlgebraElement(terms)
 

@@ -7,11 +7,14 @@ test.
 """
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmzv.errors import AdmissibilityError, MembershipError, ParameterError
 from qmzv.series import (
@@ -153,6 +156,26 @@ def brute_lattice(factors, ties, low, top, one):
 def q_kernel(a, n, k, order):
     """q^a / (1-q^n)^k, truncated."""
     return QSeries.monomial(order, a) * inv_bracket_pow(n, k, order)
+
+
+def brute_poly(k, polys, order):
+    """Strict sum over 1 <= n_1 < ... < n_r <= order of the factors
+    Q_j(q^n_j) / (1-q^n_j)^(k_j), each built term by term on dense QSeries;
+    literal nested loops.  The last factor has valuation >= n_r, so no larger
+    n_r adds a term below the order."""
+    table = [{n: sum((c * q_kernel(t * n, n, kj, order) for t, c in enumerate(cs)),
+                     QSeries.zero(order)) for n in range(1, order + 1)}
+             for kj, cs in zip(k, polys)]
+
+    def rec(j, low, acc):
+        if j == len(k):
+            return acc
+        total = QSeries.zero(order)
+        for n in range(low, order + 1):
+            total = total + rec(j + 1, n + 1, acc * table[j][n])
+        return total
+
+    return rec(0, 1, QSeries.one(order))
 
 
 def series_kern(order):
@@ -450,10 +473,42 @@ def test_poly_model():
         models.zeta_poly((1, 2), [(0, 1)], order=6)  # arity mismatch
     with pytest.raises(ParameterError):
         models.zeta_poly((1,), None, order=5)
-    # signed and rational numerators, against the walk on the dense ring
+    for bad in (True, False, 0.5, "1"):
+        with pytest.raises(ParameterError, match="is not exact"):
+            models.zeta_poly((1,), [(0, bad)], order=5)
+    # signed and rational numerators, against the literal lattice sum
     for k, polys in POLY_POOL:
-        dense = models._walk((poly_slots(k, polys),), 1, 13, SeriesValues(12))[0]
-        assert models.zeta_poly(k, polys, order=12) == dense, (k, polys)
+        assert models.zeta_poly(k, polys, order=12) == brute_poly(k, polys, 12), (k, polys)
+
+
+def test_poly_model_zero_numerator_and_empty_index():
+    # a zero numerator leaves an empty slot: the zero series
+    for k, polys in (((2,), [(0,)]), ((1, 2), [(1, -2), (0,)]), ((1, 1), [(), (0, 3)])):
+        assert models.zeta_poly(k, polys, order=8) == QSeries.zero(8), (k, polys)
+    # the empty index walks the empty tuple once: the series one
+    for order in (0, 5):
+        assert models.zeta_poly((), [], order=order) == QSeries.one(order)
+
+
+def _poly_coeffs():
+    big = 10**30
+    return st.one_of(st.integers(-big, big), st.integers(-3, 3),
+                     st.fractions(min_value=-big, max_value=big, max_denominator=10**6))
+
+
+@st.composite
+def _poly_inputs(draw):
+    k = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    polys = [draw(st.lists(_poly_coeffs(), min_size=1, max_size=kj + 1)) for kj in k]
+    polys[-1][0] = 0
+    return tuple(k), polys
+
+
+@settings(max_examples=30, deadline=None)
+@given(_poly_inputs(), st.integers(0, 30))
+def test_poly_model_matches_brute_force(inputs, order):
+    k, polys = inputs
+    assert models.zeta_poly(k, polys, order=order) == brute_poly(k, polys, order)
 
 
 def test_poly_model_two_rows():
@@ -627,15 +682,15 @@ def test_classical_diamond_rejects_trailing_one():
 
 
 class FractionClassicalValues:
-    """The reference classical ring: every factor 1/m^k as a Fraction, for the
+    """The reference classical ring: every factor c/m^k as a Fraction, for the
     walker to run on as it runs on the scaled integer ring."""
 
     one = Fraction(1)
     zero = Fraction(0)
 
     @staticmethod
-    def kernel(a, m, k):
-        return Fraction(1, m**k)
+    def kernel(a, m, k, c):
+        return Fraction(c, m**k)
 
     @staticmethod
     def trunc(value):
@@ -789,7 +844,14 @@ def test_float_q_samples_are_refused():
         for q in (0.1, 2.0):
             with pytest.raises(ParameterError, match="must be exact"):
                 call(q)
-        call(Fraction(1, 10))
+        # text is parsed by the callers (SuiteConfig, the CLI), not here
+        for q in ("abc", "1/2", "0.5", None, 1j, Decimal("NaN"), Decimal("sNaN"),
+                  Decimal("Infinity"), Decimal("-Infinity")):
+            with pytest.raises(ParameterError, match="an int, a rational or a finite Decimal"):
+                call(q)
+        # a finite Decimal is read exactly: Decimal("0.1") is 1/10
+        assert call(Decimal("0.1")) == call(Fraction(1, 10))
+        assert call(Decimal("3")) == call(3)
 
 
 # -- structural invariants ----------------------------------------------------------
@@ -918,8 +980,8 @@ class SeriesValues:
         self.one = QSeries.one(order)
         self.zero = QSeries.zero(order)
 
-    def kernel(self, a, m, k):
-        return kernel(a, m, k, self.order)
+    def kernel(self, a, m, k, c):
+        return c * kernel(a, m, k, self.order)
 
     @staticmethod
     def trunc(value):
@@ -937,22 +999,20 @@ POLY_POOL = [
 ]
 
 
-def poly_slots(k, polys):
-    return tuple((models._Choice(0, kj, poly=tuple(cs)),) for kj, cs in zip(k, polys))
-
-
-def cleared(polys):
-    """zeta_poly's integer numerators: each times the lcm of its denominators."""
-    out = []
-    for cs in polys:
+def term_slots(k, polys):
+    """The slots zeta_poly walks: one strict choice c q^(n t) / (1-q^n)^(k_j)
+    per nonzero term c q^t of each numerator, its denominators cleared."""
+    slots = []
+    for kj, cs in zip(k, polys):
         scale = lcm(*(Fraction(c).denominator for c in cs))
-        out.append([int(c * scale) for c in cs])
-    return out
+        slots.append(tuple(models._Choice(t, kj, c=int(c * scale)) for t, c in enumerate(cs) if c))
+    return tuple(slots)
 
 
 def oracle_walks():
     """(slots, low, top, order) for every walk of the brute-force oracle
-    grids above, and the denominator-cleared walks of POLY_POOL."""
+    grids above, the denominator-cleared walks of POLY_POOL, and slots that
+    mix gaps, reflections and coefficients."""
     slots = models._SLOTS
     for entries, M, N in product(DAGGER_FINITE_POOL, (0, 1, 2), (2, 3, 4)):
         if M < N:
@@ -973,7 +1033,11 @@ def oracle_walks():
     for k in SZ_INF_POOL:
         yield slots["sz"](k), 1, 11, 10
     for k, polys in POLY_POOL:
-        yield poly_slots(k, cleared(polys)), 1, 11, 10
+        yield term_slots(k, polys), 1, 11, 10
+    C = models._Choice
+    mixed = (C(0, 1, gap=0, reflected=True), C(1, 1), C(2, 2, c=-3), C(1, 1, gap=0, c=2))
+    yield (mixed, (C(1, 2, c=5), C(0, 2, reflected=True))), 1, 7, 8
+    yield ((C(1, 1, c=-1), C(0, 1, gap=0, reflected=True)), mixed), 2, 6, 8
 
 
 def packed_and_dense(slots, low, top, order):
@@ -988,10 +1052,7 @@ def brute_suffixes(slots, low, top, order):
     and every lattice point of each tail is listed, then bucketed by n_j."""
     def factor(choice, n):
         x = top - n if choice.reflected else n
-        if choice.poly is None:
-            return q_kernel(choice.s * x, x, choice.k, order)
-        terms = (c * q_kernel(t * x, x, choice.k, order) for t, c in enumerate(choice.poly))
-        return sum(terms, QSeries.zero(order))
+        return choice.c * q_kernel(choice.s * x, x, choice.k, order)
 
     out = {}
     for j in range(len(slots) + 1):
@@ -1023,7 +1084,8 @@ def test_packed_walk_matches_dense_on_oracle_grids():
 def test_packed_walk_matches_dense_at_order_100():
     # the deepest eval-high-order strata: infinite dagger with three runs,
     # xi with r = 3 and l_1 + l_2 + l_3 = 4 (eps 0 and 1), and a window M > 0;
-    # then signed zeta_poly numerators near 10^30
+    # then zeta_poly with signed numerators near 10^30, whose slots weigh
+    # their choices by |c| in the width
     c = (2, 3, 1, 6, 1, 4)
     big = 10**30
     walks = (
@@ -1031,11 +1093,13 @@ def test_packed_walk_matches_dense_at_order_100():
         (models._SLOTS["dagger"](bar_from_pairs(c).entries), 1, 24, 100),
         (models._SLOTS["diamond-dagger"](diamond_from_pairs(c)), 1, 24, 100),
         (models._SLOTS["dagger"](bar_from_pairs(c).entries), 9, 20, 100),
-        (poly_slots((2, 3), [(big + 7, 3 - big, big), (0, -big, big - 1, 5)]), 1, 101, 100),
     )
     for walk in walks:
         packed, dense = packed_and_dense(*walk)
         assert packed == dense, walk
+    k, polys = (2, 3), [(big + 7, 3 - big, big), (0, -big, big - 1, 5)]
+    dense = models._walk((term_slots(k, polys),), 1, 101, SeriesValues(100))[0]
+    assert models.zeta_poly(k, polys, order=100) == dense
 
 
 def test_packed_bits_bound_every_suffix():
@@ -1055,8 +1119,8 @@ def test_packed_bits_bound_every_suffix():
 def trie_calls():
     """(tuples, low, top, order) of many-tuple walks whose tuples share
     suffixes: diamond slots with two choices, reflected and barred slots,
-    numerators, windows with M > 0, a repeated tuple, the empty tuple, and
-    families mixed in one call."""
+    strict slots of two or three choices with coefficients, windows with M > 0, a repeated
+    tuple, the empty tuple, and families mixed in one call."""
     slots = models._SLOTS
     diamond = [slots["diamond-dagger"](k) for k in DIAMOND_POOL]
     diamond += [slots["diamond-dagger"](k) for k in product((1, 2), (1, 2), (2, 3))]
@@ -1068,9 +1132,10 @@ def trie_calls():
     bars = [slots["dagger"](bar_from_pairs(c).entries) for c in product((1, 2), repeat=4)]
     for M in (0, 1, 3):
         yield bars, M + 1, 7, 8
-    tail = poly_slots((2,), [(0, -1, 2)])
-    heads = [poly_slots(k, cs) for k, cs in (((1,), [(3,)]), ((2,), [(1, -2, 1)]),
-                                            ((1, 1), [(-1,), (2, -3)]))]
+    C = models._Choice
+    tail = ((C(1, 2, c=-3), C(2, 2)),)
+    heads = [((C(0, 1), C(1, 1, c=10**30)),), ((C(0, 2, c=2), C(1, 2), C(2, 2, c=-5)),),
+             ((C(1, 1), C(0, 1)), (C(0, 1), C(1, 1, c=-1), C(2, 3)))]
     yield [head + tail for head in heads] + [tail] + heads, 1, 7, 6
     yield diamond[:4] + reflected[:2] + bars[:4], 1, 6, 8
 

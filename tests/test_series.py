@@ -272,6 +272,25 @@ def test_json_round_trip():
     assert series_from_json(doc) == s
 
 
+@pytest.mark.parametrize("doc", [
+    {"order": 1.5, "coeffs": ["1", "2"]},  # not truncated to order 1
+    {"order": True, "coeffs": ["1", "2"]},
+    {"order": "1", "coeffs": ["1", "2"]},
+    {"order": -1, "coeffs": []},
+    {"order": 1, "coeffs": ["a", "1"]},
+    {"order": 1, "coeffs": ["1/0", "1"]},
+    {"order": 1, "coeffs": [1, 2]},  # numbers, not strings
+    {"order": 1, "coeffs": ["1", 0.5]},
+    {"order": 1, "coeffs": "12"},
+    {"order": 1, "coeffs": ["1"]},
+    {"order": 1},
+    None,
+])
+def test_series_from_json_refuses_what_it_cannot_read_exactly(doc):
+    with pytest.raises(ParameterError):
+        series_from_json(doc)
+
+
 def test_equality_across_int_and_fraction():
     assert QSeries(2, [1, 2, 3]) == QSeries(2, [Fraction(1), Fraction(2), Fraction(3)])
     assert hash(QSeries(2, [1, 2, 3])) == hash(

@@ -181,6 +181,18 @@ def test_element_json_round_trip_sorted():
     assert element_from_json(doc) == u
 
 
+def test_element_from_json_reads_int_coefficients_only():
+    doc = {"terms": [{"word": "y", "coeff": -3}, {"word": "yx", "coeff": "2"}]}
+    assert element_from_json(doc) == AlgebraElement({"y": -3, "yx": 2})
+    for coeff in (1.5, 2.0, True, "abc", "1.5", "1/2", None, [1]):
+        with pytest.raises(ParameterError):  # 1.5 is not truncated to 1
+            element_from_json({"terms": [{"word": "y", "coeff": coeff}]})
+    for doc in ({"terms": [{"word": "z", "coeff": 1}]}, {"terms": [{"word": "y"}]},
+                {"terms": 5}, {}, None):
+        with pytest.raises(ParameterError):
+            element_from_json(doc)
+
+
 def test_format_word_and_element():
     assert format_word("") == "1"
     assert format_word("yxxy") == "y x^2 y"
