@@ -17,6 +17,8 @@ from .constructor import bz_word, classical_expansion_word, expansion_word
 from .errors import ParameterError, QmzvError
 from .models import (
     _FINITE,
+    _INFINITE,
+    FINITE_Z_MODELS,
     classical_zeta,
     classical_zeta_blocks,
     classical_zeta_diamond,
@@ -98,18 +100,13 @@ def _print_series(s, as_json: bool):
 # -- subcommands --------------------------------------------------------------------
 
 
-_EVAL_MODELS = (
-    "dagger",
-    "bz",
-    "sz",
-    "diamond-dagger",
-    "diamond-bz",
-    "reflected",
-    "xi",
-    "classical",
-    "classical-blocks",
-    "classical-diamond",
-)
+_CLASSICAL = {
+    "classical": classical_zeta,
+    "classical-blocks": classical_zeta_blocks,
+    "classical-diamond": classical_zeta_diamond,
+}
+
+_EVAL_MODELS = (*dict.fromkeys((*_INFINITE, *_FINITE)), "xi", *_CLASSICAL)
 
 
 # the finite models that take M > 0, and xi, whose two families both do
@@ -128,21 +125,16 @@ def _cmd_eval(args) -> int:
         value = eval_at_rational_q(model, k, _fraction(args.q), N=args.N, M=args.M)
         _print_value(value, args.json)
         return 0
-    if model.startswith("classical"):
+    if model in _CLASSICAL:
         _require(args, model, "N")
-        fn = {
-            "classical": classical_zeta,
-            "classical-blocks": classical_zeta_blocks,
-            "classical-diamond": classical_zeta_diamond,
-        }[model]
-        _print_value(fn(k, args.N), args.json)
+        _print_value(_CLASSICAL[model](k, args.N), args.json)
         return 0
     _require(args, model, "order")
     if model == "xi":
         _require(args, "xi", "eps", "N")
         s = xi_value(args.eps, k, N=args.N, order=args.order, M=args.M)
     elif args.N is None:
-        if model not in ("dagger", "bz", "sz"):
+        if model not in _INFINITE:
             raise ParameterError(f"{model} has no infinite form; give --N")
         s = zeta_infinite(model, k, order=args.order)
     else:
@@ -201,7 +193,7 @@ _VERIFY_FLAG_ARGS = {
     "q": {"help": "rational, or comma list for main-finite-bz"},
     "side": {"choices": ("dagger", "bz")},
     "which": {"type": int, "choices": (1, 2, 3, 4)},
-    "model": {"choices": ("dagger_finite", "bz_finite")},
+    "model": {"choices": FINITE_Z_MODELS},
 }
 
 # What turns a string flag into its argument, per flag or per (identity, flag)

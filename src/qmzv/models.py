@@ -40,9 +40,9 @@ fills each distinct suffix's S once, for lo from its last value,
 top - 1 - (the strict steps of the suffix's slots but its last), down to its
 first, low + (the fewest strict steps before it in any tuple through it).
 Above last S is zero, and below first no tuple reads it.  Each call keeps a
-table of the kernels c q^a/(1-q^m)^k it has built, dropped when the call
-returns, so a kernel shared by slots, suffixes and tuples is built once per
-call.
+table of the kernels q^a/(1-q^m)^k it has built and of their multiples by
+each c, dropped when the call returns, so a kernel shared by slots, suffixes,
+tuples and coefficients is built once per call.
 
 The value rings are exact rationals at a fixed rational q (|q| not 0 or 1),
 the classical limits, where every factor c/x^k is held as the integer
@@ -65,11 +65,13 @@ denominators cleared first and divided out once at the end; w_j is then the
 L1 norm of the cleared Q_j.
 
 The finite and infinite entry points check their arguments and call
-_model_sum, one cached walk per family, index, range and ring.  The table
-_FINITE alone lists the finite models, with each one's index check and M
-rule.  The word maps z_map and
-z_map_at_q check the model, the element, the window, the order and q once
-per call and then walk the index of every word of the element.
+_model_sum, one cached walk per family, index, range and ring.  Two tables
+alone list the models: _FINITE each finite model's index check and M rule,
+_INFINITE each infinite model's walker family and index check.  _XI gives
+the finite model of each xi(eps, c) and the entries it reads from c.  The
+command line takes its model names from these tables.  The word maps z_map
+and z_map_at_q check the model, the element, the window, the order and q
+once per call and then walk the index of every word of the element.
 
 Truncation of the infinite sums is exact: each admissible index puts a factor
 of valuation >= n_r on the last variable, so every lattice point outside the
@@ -157,9 +159,8 @@ class _PackedValues:
         self.bits = bits
         self.mask = layout(bits, order)[0]
 
-    def kernel(self, a, m, k, c):
-        value = packed_kernel(a, m, k, self.order, self.bits)
-        return value if c == 1 else c * value
+    def kernel(self, a, m, k):
+        return packed_kernel(a, m, k, self.order, self.bits)
 
     def trunc(self, value):
         return value & self.mask
@@ -206,18 +207,15 @@ class _PointValues:
         self.one = Fraction(1)
         self.zero = Fraction(0)
 
-    def kernel(self, a, m, k, c):
-        # with q = n/d: c q^a / (1-q^m)^k = c n^a d^(mk) / (d^a (d^m - n^m)^k),
-        # one Fraction built from integer powers
+    def kernel(self, a, m, k):
+        # with q = n/d: q^a / (1-q^m)^k = n^a d^(mk) / (d^a (d^m - n^m)^k), one
+        # Fraction built from integer powers; d^m != n^m, as m >= 1 and |q| != 1
         n, d = self.q.numerator, self.q.denominator
-        b = d**m - n**m
-        if b == 0:
-            raise ParameterError(f"1 - q^{m} vanishes at q = {self.q}")
-        return Fraction(c * n**a * d ** (m * k), d**a * b**k)
+        return Fraction(n**a * d ** (m * k), d**a * (d**m - n**m) ** k)
 
 
 class _ClassicalValues:
-    """The classical limit c/m^k times scale^k, for m dividing scale."""
+    """The classical limit 1/m^k times scale^k, for m dividing scale."""
 
     trunc = staticmethod(_same)
     one = 1
@@ -226,8 +224,8 @@ class _ClassicalValues:
     def __init__(self, scale: int):
         self.scale = scale
 
-    def kernel(self, a, m, k, c):
-        return c * (self.scale // m) ** k
+    def kernel(self, a, m, k):
+        return (self.scale // m) ** k
 
 
 def _classical_walk(slots, low, top) -> Fraction:
@@ -299,7 +297,7 @@ def _walk(tuples, low, top, vals) -> list:
                 node[2] = first
             first += node[4]
     out = [one] * len(tuples)  # the empty tuple sums to one
-    kernels = {}  # (a, m, k, c) -> kernel value, for this call only
+    kernels = {}  # (a, m, k, c) -> c times the kernel, for this call only
     get = kernels.get
     # depth first from the empty tail: above last S_j is zero, below first it
     # is never read; the choices of one gap share one product per n
@@ -315,8 +313,13 @@ def _walk(tuples, low, top, vals) -> list:
                     x = top - n if reflected else n
                     key = (s * x, x, k, c)
                     g = get(key)
-                    if g is None:
-                        g = kernels[key] = kern(*key)
+                    if g is None:  # build the kernel once, scale it per c
+                        one_key = (s * x, x, k, 1)
+                        g = get(one_key)
+                        if g is None:
+                            g = kernels[one_key] = kern(s * x, x, k)
+                        if c != 1:
+                            g = kernels[key] = c * g
                     f = g if f is None else f + g
                 total = total + f * below[n - low + gap]
             here[n - low] = total = trunc(total)
@@ -386,7 +389,7 @@ def _model_sum(family, entries, low, top, ring, param):
     return _walk((slots,), low, top, ring(param))[0]
 
 
-# -- finite models ---------------------------------------------------------------
+# -- the model tables ------------------------------------------------------------
 
 
 def _check_admissible_bar(k) -> tuple:
@@ -411,6 +414,22 @@ _FINITE = {
     "diamond-bz": (_check_admissible_plain, False),
     "reflected": (check_index, False),
 }
+
+# model -> (walker family, index check giving the walker's entries)
+_INFINITE = {
+    "dagger": ("dagger-inf", _check_admissible_bar),
+    "bz": ("bz", _check_admissible_plain),
+    "sz": ("sz", lambda k: sz_from_pairs(pairs_from_sz(k))),
+}
+
+# eps -> (finite model of xi, pair index -> that model's walker entries)
+_XI = (
+    ("dagger", lambda c: bar_from_pairs(c).entries),
+    ("diamond-dagger", diamond_from_pairs),
+)
+
+
+# -- finite models ---------------------------------------------------------------
 
 
 def _finite_window(model: str, N: int, M: int) -> tuple:
@@ -471,9 +490,8 @@ def xi_value(eps: int, c, *, N: int, order: int, M: int = 0) -> QSeries:
     eps = 0 reads the pairs (l_j, k_j) as l_j - 1 bar entries before k_j;
     eps = 1 reads them as l_j - 1 ones before k_j + 1 in the diamond model.
     """
-    if check_eps(eps) == 0:
-        return zeta_dagger_finite(bar_from_pairs(c), N=N, order=order, M=M)
-    return zeta_diamond_finite("dagger", diamond_from_pairs(c), N=N, order=order, M=M)
+    model, index = _XI[check_eps(eps)]
+    return _finite(model, index(c), N, M, _PackedValues, check_order(order))
 
 
 def xi_packed(eps: int, cs, *, N: int, order: int, M: int = 0) -> tuple:
@@ -482,10 +500,7 @@ def xi_packed(eps: int, cs, *, N: int, order: int, M: int = 0) -> tuple:
     that is a multiple of 32 and holds each walk's L1 norm below
     2^(bits - 1).  The slots of each pair (l, k) are built once per call;
     every pair ends in its k-entry, so every index is admissible."""
-    if check_eps(eps) == 0:
-        model, index = "dagger", lambda pair: bar_from_pairs(pair).entries
-    else:
-        model, index = "diamond-dagger", diamond_from_pairs
+    model, index = _XI[check_eps(eps)]
     check_order(order)
     _finite_window(model, N, M)
     blocks = {}  # (l, k) -> the slots of that one pair
@@ -508,20 +523,13 @@ def xi_packed(eps: int, cs, *, N: int, order: int, M: int = 0) -> tuple:
 
 
 def zeta_infinite(model: str, k, *, order: int) -> QSeries:
-    """Truncated value of the untruncated sum; the index must be admissible."""
+    """Truncated value of the untruncated sum ('dagger', 'bz' or 'sz'); the
+    index must be admissible."""
     check_order(order)
-    if model == "dagger":
-        family, k = "dagger-inf", _check_admissible_bar(k)
-    elif model == "bz":
-        k = check_index(k)
-        if k and k[-1] < 2:
-            raise AdmissibilityError(f"index {k} must end with an entry >= 2")
-        family = "bz"
-    elif model == "sz":
-        family, k = "sz", sz_from_pairs(pairs_from_sz(k))
-    else:
-        raise ParameterError(f"unknown infinite model {model!r}")
-    return _model_sum(family, k, 1, order + 1, _PackedValues, order)
+    if model not in _INFINITE:
+        raise ParameterError(f"unknown infinite model {model!r}; choose one of {tuple(_INFINITE)}")
+    family, check = _INFINITE[model]
+    return _model_sum(family, check(k), 1, order + 1, _PackedValues, order)
 
 
 def zeta_poly(k, polys, *, order: int) -> QSeries:
@@ -603,6 +611,7 @@ _Z_FAMILIES = {
     "classical": "bz",
 }
 Z_MODELS = tuple(_Z_FAMILIES)
+FINITE_Z_MODELS = tuple(model for model in Z_MODELS if model.endswith("_finite"))
 
 
 def _word_sum(u: AlgebraElement, total, family, low, top, ring, param):

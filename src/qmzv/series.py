@@ -29,6 +29,9 @@ from .errors import NonInvertibleError, OrderMismatchError, ParameterError
 from .words import check_count
 
 
+_EXACT = frozenset((int, Fraction))  # the coefficient types checked in one pass
+
+
 class QSeries:
     __slots__ = ("order", "coeffs")
 
@@ -39,9 +42,10 @@ class QSeries:
             raise ParameterError(
                 f"need {order + 1} coefficients for order {order}, got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise ParameterError(f"coefficient {c!r} is not an exact rational")
+        if not _EXACT.issuperset(map(type, coeffs)):  # a subclass, a bool or worse
+            for c in coeffs:
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise ParameterError(f"coefficient {c!r} is not an exact rational")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 

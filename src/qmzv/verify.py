@@ -25,6 +25,7 @@ from .constructor import (
 from .errors import ParameterError
 from .genfun import verify_b_diff, verify_g_diff, verify_recurrence
 from .models import (
+    FINITE_Z_MODELS,
     check_q_sample,
     classical_zeta_blocks,
     classical_zeta_diamond,
@@ -210,8 +211,8 @@ def exact_rank(matrix) -> int:
 
 def independence_check(model: str, max_weight: int, N_list, order: int) -> Report:
     """Full row rank of the word-to-coefficient matrix: evidence, not proof."""
-    if model not in ("dagger_finite", "bz_finite"):
-        raise ParameterError(f"model must be a finite model, got {model!r}")
+    if model not in FINITE_Z_MODELS:
+        raise ParameterError(f"model must be one of {FINITE_Z_MODELS}, got {model!r}")
     N_list = tuple(N_list)
     words = plain_indices(max_weight)
     params = {
@@ -389,7 +390,7 @@ def _enumerate_cases(cfg: SuiteConfig):
     # weight <= 4 words, so this case keeps its own floor under small configs.
     iw = min(cfg.max_weight, 4)
     ilist = tuple(range(1, 7))
-    for model in ("dagger_finite", "bz_finite"):
+    for model in FINITE_Z_MODELS:
         add("independence", model, iw, ilist, max(o, 12))
     return cases
 

@@ -93,7 +93,7 @@ class AlgebraElement:
         clean: dict[str, int] = {}
         for w, c in (terms or {}).items():
             check_word(w)
-            if not isinstance(c, int):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ParameterError(f"coefficient of {w!r} must be an int, got {c!r}")
             if c:
                 clean[w] = c
@@ -207,14 +207,17 @@ def element_to_json(u: AlgebraElement) -> dict:
 
 def element_from_json(data: dict) -> AlgebraElement:
     """The element of an element_to_json document.  Every coefficient must be
-    an int (not a bool) or an integer string, and every word a word over x,
-    y (AlgebraElement checks it); ParameterError otherwise."""
+    an int (not a bool) or an integer string, every word a word over x, y
+    (AlgebraElement checks it), and no word may be listed twice;
+    ParameterError otherwise."""
     try:
         items = [(t["word"], t["coeff"]) for t in data["terms"]]
         bad = [c for _, c in items if isinstance(c, bool) or not isinstance(c, (int, str))]
         if bad:
             raise TypeError(f"coefficient {bad[0]!r} is neither an int nor an integer string")
         terms = {w: int(c) for w, c in items}
+        if len(terms) != len(items):
+            raise ValueError("a word is listed twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed element document: {exc}") from exc
     return AlgebraElement(terms)

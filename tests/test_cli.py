@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmzv.cli import emit_report, main
+from qmzv.cli import _EVAL_MODELS, emit_report, main
 from qmzv.report import Report, report_to_json, reports_to_json
 from qmzv.series import series_from_json
 from qmzv.verify import IDENTITIES, SuiteConfig, _enumerate_cases, run_suite
@@ -85,6 +85,39 @@ def test_eval_classical(capsys):
     code, out, _ = run(capsys, "eval", "--model", "classical-diamond",
                        "--index", "1,2", "--N", "3")
     assert code == 0 and out == "9/8\n"
+
+
+# (model, flags, output): at least one pinned case per --model name
+EVAL_CASES = [
+    ("dagger", "--index b,2 --order 6", "q + 4q^2 + 6q^3 + 12q^4 + 10q^5 + 24q^6"),
+    ("bz", "--index 1,2 --order 6", "q^2 + 3q^3 + 7q^4 + 10q^5 + 19q^6"),
+    ("sz", "--index 0,2 --order 6", "q^4 + 4q^6"),
+    ("diamond-dagger", "--index 1,2 --N 4 --M 1 --order 6", "q^2 + 2q^3 + 4q^4 + 3q^5 + 11q^6"),
+    ("diamond-bz", "--index 1,2 --N 3 --order 6", "q^2 + 3q^3 + 7q^4 + 10q^5 + 18q^6"),
+    ("reflected", "--index 2 --N 4 --order 6", "q + 3q^2 + 4q^3 + 6q^4 + 5q^5 + 11q^6"),
+    ("xi", "--eps 0 --index 2,1 --N 4 --M 1 --order 6", "q^2 + 2q^3 + 3q^4 + 2q^5 + 6q^6"),
+    ("xi", "--eps 1 --index 2,1 --N 4 --order 6", "q + 4q^2 + 7q^3 + 13q^4 + 15q^5 + 30q^6"),
+    ("classical", "--index 2,1 --N 5", "181/144"),
+    ("classical-blocks", "--index 2,1 --N 5", "205/144"),
+    ("classical-diamond", "--index 1,2 --N 5", "2035/1728"),
+]
+
+
+def test_eval_cases_cover_every_model():
+    assert tuple(dict.fromkeys(model for model, _, _ in EVAL_CASES)) == _EVAL_MODELS
+
+
+@pytest.mark.parametrize("model, flags, expected", EVAL_CASES)
+def test_eval_every_model(capsys, model, flags, expected):
+    code, out, err = run(capsys, "eval", "--model", model, *flags.split())
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("model", ["diamond-dagger", "diamond-bz", "reflected"])
+def test_eval_refuses_an_infinite_form_it_lacks(capsys, model):
+    code, out, err = run(capsys, "eval", "--model", model, "--index", "2", "--order", "6")
+    assert (code, out) == (1, "")
+    assert err == f"error: {model} has no infinite form; give --N\n"
 
 
 def test_word_json_roundtrip(capsys):

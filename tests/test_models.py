@@ -386,11 +386,11 @@ def test_infinite_empty_and_errors():
     assert models.zeta_infinite("sz", (), order=4) == QSeries.one(4)
     with pytest.raises(AdmissibilityError):
         models.zeta_infinite("dagger", BarIndex((2, BAR1)), order=4)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match=r"index \(2, 1\) must not end with entry 1"):
         models.zeta_infinite("bz", (2, 1), order=4)
     with pytest.raises(AdmissibilityError):
         models.zeta_infinite("sz", (1, 0), order=4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"choose one of \('dagger', 'bz', 'sz'\)"):
         models.zeta_infinite("nope", (1,), order=4)
 
 
@@ -682,15 +682,15 @@ def test_classical_diamond_rejects_trailing_one():
 
 
 class FractionClassicalValues:
-    """The reference classical ring: every factor c/m^k as a Fraction, for the
+    """The reference classical ring: every kernel 1/m^k as a Fraction, for the
     walker to run on as it runs on the scaled integer ring."""
 
     one = Fraction(1)
     zero = Fraction(0)
 
     @staticmethod
-    def kernel(a, m, k, c):
-        return Fraction(c, m**k)
+    def kernel(a, m, k):
+        return Fraction(1, m**k)
 
     @staticmethod
     def trunc(value):
@@ -980,8 +980,8 @@ class SeriesValues:
         self.one = QSeries.one(order)
         self.zero = QSeries.zero(order)
 
-    def kernel(self, a, m, k, c):
-        return c * kernel(a, m, k, self.order)
+    def kernel(self, a, m, k):
+        return kernel(a, m, k, self.order)
 
     @staticmethod
     def trunc(value):

@@ -107,6 +107,22 @@ def test_orders_refuse_booleans():
                 call()
 
 
+def test_coefficients_refuse_booleans():
+    # a bool coefficient would print as True, and its JSON document would not
+    # read back
+    for coeffs in ([True, 0], [0, False], [Fraction(1, 2), True]):
+        with pytest.raises(ParameterError, match="not an exact rational"):
+            QSeries(1, coeffs)
+    with pytest.raises(ParameterError):
+        QSeries(1, [1.0, 0])
+
+    class Int(int):
+        pass
+
+    # a subclass of int or Fraction other than bool is still exact
+    assert QSeries(1, [Int(2), Fraction(1, 3)]).coeffs == (2, Fraction(1, 3))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(1, 130), st.integers(0, 120))
 def test_pack_unpack_round_trip(data, bits, order):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from qmzv import constructor, verify
+from qmzv import constructor, models, verify
 from qmzv.errors import ParameterError
 from qmzv.models import z_map
 from qmzv.report import format_report, reports_to_json
@@ -29,7 +29,7 @@ from qmzv.verify import (
     verify_main_infinite,
     verify_remarks,
 )
-from qmzv.words import word_from_index
+from qmzv.words import diamond_from_pairs, word_from_index
 
 
 SMALL = SuiteConfig(max_weight=3, max_N=3, order=10, maxdeg=2, max_r=1)
@@ -68,6 +68,38 @@ def test_remarks_and_classical():
             verify_remarks(*args, 3, 5)
     assert verify_classical((2, 1), 4).passed
     assert verify_classical((), 2).passed
+
+
+def test_main_finite_bz_reports_a_failed_bridge(monkeypatch):
+    # the dagger model at a rational point is off by one; the series sides
+    # still agree, so the first bridge of the first word carries the witness
+    real = models._model_sum
+
+    def skewed(family, entries, low, top, ring, param):
+        value = real(family, entries, low, top, ring, param)
+        return value + 1 if (family, ring) == ("dagger", models._PointValues) else value
+
+    monkeypatch.setattr(models, "_model_sum", skewed)
+    c, N = (2, 1), 3
+    r = verify_main_finite_bz(c, N, 8, (Fraction(2), Fraction(1, 2)))
+    w = constructor.bz_word(c).terms()[0][0]
+    bridge = models.verify_bridge(w, N, 2)
+    assert r.status == "fail" and not bridge.passed
+    assert r.witness == {**bridge.witness, "word": w, "q": "2"}
+
+
+@pytest.mark.parametrize("side, name", [
+    ("plain", "classical_zeta_blocks"),
+    ("diamond", "classical_zeta_diamond"),
+])
+def test_classical_reports_the_failed_side(monkeypatch, side, name):
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: real(*args) + 1)
+    c, N = (2, 1), 4
+    r = verify_classical(c, N)
+    value = real(c if side == "plain" else diamond_from_pairs(c), N)
+    assert r.status == "fail"
+    assert r.witness == {"side": side, "lhs": str(value + 1), "rhs": str(value)}
 
 
 def test_exact_rank_matches_sympy():

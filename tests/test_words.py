@@ -193,6 +193,22 @@ def test_element_from_json_reads_int_coefficients_only():
             element_from_json(doc)
 
 
+def test_element_refuses_bool_coefficients():
+    # a bool coefficient would print as True, and its JSON document would not
+    # read back
+    for terms in ({"y": True}, {"y": 1, "yx": False}):
+        with pytest.raises(ParameterError, match="must be an int"):
+            AlgebraElement(terms)
+    with pytest.raises(ParameterError):
+        AlgebraElement.word("y", True)
+
+
+def test_element_from_json_refuses_a_repeated_word():
+    doc = {"terms": [{"word": "y", "coeff": 1}, {"word": "y", "coeff": 2}]}
+    with pytest.raises(ParameterError, match="listed twice"):
+        element_from_json(doc)
+
+
 def test_format_word_and_element():
     assert format_word("") == "1"
     assert format_word("yxxy") == "y x^2 y"
